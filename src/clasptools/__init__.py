@@ -1,6 +1,6 @@
-"""Knot-link invariant toolkit: skein-recursion HOMFLY/Conway engines,
-clasp-number-two models and obstructions, rational-tangle and Montesinos
-calculus, and open-book fundamental-group classification."""
+"""Knot-link invariant toolkit: a skein-recursion HOMFLY engine (Conway and
+p0 read off it), clasp-number-two models and obstructions, rational-tangle
+and Montesinos calculus, and open-book fundamental-group classification."""
 
 from .census import load_census, load_exceptional
 from .clasp import (

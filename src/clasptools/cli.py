@@ -36,6 +36,11 @@ EXIT_UNKNOWN_NAME = 2
 EXIT_PARSE = 3
 EXIT_BUDGET = 4
 
+
+class UnknownNameError(LookupError):
+    """A knot argument is neither PD text nor a name in the census."""
+
+
 DEFAULTS = {
     "node-budget": 10_000_000,
     "memo-capacity": 1 << 20,
@@ -73,7 +78,7 @@ def _resolve_diagram(name_or_pd: str, cfg):
         return parse_pd(name_or_pd)
     table = load_census(cfg["census"])
     if name_or_pd not in table:
-        raise KeyError(name_or_pd)
+        raise UnknownNameError(f"unknown census name {name_or_pd!r}")
     return table[name_or_pd]
 
 
@@ -234,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--census", help="census file override")
     ap.add_argument("--exceptional", help="exceptional-knot file override")
     ap.add_argument("--node-budget", type=int)
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="accepted for compatibility; computation is single-threaded")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariants", help="HOMFLY/Conway/p0 of a census name or PD code")
@@ -277,14 +280,14 @@ def main(argv=None) -> int:
             cfg["census"] = args.census
         if args.exceptional:
             cfg["exceptional"] = args.exceptional
-        if args.node_budget:
+        if args.node_budget is not None:
             cfg["node-budget"] = args.node_budget
         return args.func(args, cfg)
     except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except KeyError as e:
-        print(f"error: unknown census name {e}", file=sys.stderr)
+    except UnknownNameError as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_UNKNOWN_NAME
     except DiagramError as e:
         print(f"error: {e}", file=sys.stderr)

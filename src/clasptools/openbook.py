@@ -283,14 +283,16 @@ def nontriviality_witness(p: Presentation, max_target_order: int = 120) -> Optio
     Targets: cyclic groups Z/n (n <= max_target_order) by exponent sums,
     then S3, S4, S5 by exhaustive generator assignment.
     """
-    mat = p.exponent_matrix()
-    for n in range(2, max_target_order + 1):
-        for ux in range(n):
-            for uy in range(n):
-                if ux == 0 and uy == 0:
-                    continue
-                if all((row[0] * ux + row[1] * uy) % n == 0 for row in mat):
-                    return HomWitness(f"Z/{n}", (ux,), (uy,))
+    # Every map onto Z/n factors through H1, so none exists when H1 = 1.
+    if abelianization_order(p) != 1:
+        mat = p.exponent_matrix()
+        for n in range(2, max_target_order + 1):
+            for ux in range(n):
+                for uy in range(n):
+                    if ux == 0 and uy == 0:
+                        continue
+                    if all((row[0] * ux + row[1] * uy) % n == 0 for row in mat):
+                        return HomWitness(f"Z/{n}", (ux,), (uy,))
     for deg in (3, 4, 5):
         elems = list(permutations(range(deg)))
         ident = tuple(range(deg))

@@ -1,5 +1,5 @@
-"""Memoized skein-recursion engines for the HOMFLY, Conway, and zeroth
-coefficient polynomials.
+"""Memoized skein-recursion engine for the HOMFLY polynomial, and the
+Conway and zeroth coefficient polynomials read off it.
 
 The strategy rewrites toward a descending diagram: components are
 processed in index order, each traversed from its lowest edge label, and
@@ -8,28 +8,26 @@ it moves the violation strictly later; smoothing drops a crossing; a
 descending diagram is an unlink.  Diagrams are R1/R2-simplified at every
 node and results are memoized by canonical code with LRU eviction.
 
-Conway polynomials are computed by the same recursion specialized at
-v = 1 (split diagrams contribute 0, which prunes hard), and the zeroth
-coefficient polynomial uses its simpler skein relation, where the
-smoothed child only recurses when the crossing joins a component to
-itself.  Agreement of all three routes with the full HOMFLY polynomial
-is part of the test suite.
+There is one recursion and one memo table.  The Conway polynomial is the
+HOMFLY polynomial at v = 1, and the zeroth coefficient polynomial is its
+``extract_p_i`` coefficient 0 (Lickorish-Millett), so both cost one memo
+hit once the HOMFLY polynomial of a diagram is known.  Agreement of all
+three with an independent brute-force evaluation is part of the test
+suite.
 """
 
 from __future__ import annotations
 
-import sys
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .diagram import Diagram
-from .laurent import LaurentPoly, P0_UNLINK_FACTOR, UNLINK_FACTOR
+from .laurent import LaurentPoly, UNLINK_FACTOR, extract_p_i
 
 _V2 = LaurentPoly.term(1, ev=2)
 _VINV2 = LaurentPoly.term(1, ev=-2)
 _VZ = LaurentPoly.term(1, ev=1, ez=1)
 _VINVZ = LaurentPoly.term(-1, ev=-1, ez=1)
-_Z = LaurentPoly.term(1, ez=1)
 
 
 class BudgetExceededError(RuntimeError):
@@ -39,20 +37,16 @@ class BudgetExceededError(RuntimeError):
 class SkeinEngine:
     """Shared-memo invariant calculator.
 
-    The memo tables are caches: recomputing an entry is always safe, so
-    concurrent use from several threads is harmless under the GIL; for
-    reproducible node counts run single-threaded (the default).
+    An engine belongs to one thread: the LRU memo is not locked, and a
+    lookup racing with an eviction from another thread can fail.  Give
+    each thread its own engine.
     """
 
     def __init__(self, max_nodes: int = 10_000_000, memo_capacity: int = 1 << 20):
         self.max_nodes = max_nodes
         self.memo_capacity = memo_capacity
         self.nodes_used = 0
-        self._memo_homfly: "OrderedDict[str, LaurentPoly]" = OrderedDict()
-        self._memo_conway: "OrderedDict[str, LaurentPoly]" = OrderedDict()
-        self._memo_p0: "OrderedDict[str, LaurentPoly]" = OrderedDict()
-        if sys.getrecursionlimit() < 100_000:
-            sys.setrecursionlimit(100_000)
+        self._memo: "OrderedDict[str, LaurentPoly]" = OrderedDict()
 
     # -- public API ----------------------------------------------------
 
@@ -64,21 +58,12 @@ class SkeinEngine:
         return self._homfly(core) * UNLINK_FACTOR ** loops
 
     def conway(self, d: Diagram) -> LaurentPoly:
-        """Conway polynomial; 0 for split links."""
-        core, loops = _strip_loops(d)
-        if core.num_crossings == 0:
-            k = _total_components(d)
-            return LaurentPoly.one() if k == 1 else LaurentPoly.zero()
-        if loops:
-            return LaurentPoly.zero()
-        return self._conway(core)
+        """Conway polynomial, the HOMFLY polynomial at v = 1; 0 for split links."""
+        return self.homfly(d).substitute_v(1)
 
     def p0(self, d: Diagram) -> LaurentPoly:
-        """Zeroth coefficient polynomial, by its own simplified recursion."""
-        core, loops = _strip_loops(d)
-        if core.num_crossings == 0:
-            return P0_UNLINK_FACTOR ** (_total_components(d) - 1)
-        return self._p0(core) * P0_UNLINK_FACTOR ** loops
+        """Zeroth coefficient polynomial of the HOMFLY polynomial."""
+        return extract_p_i(self.homfly(d), d.num_components, 0)
 
     def conway_coefficients(self, d: Diagram) -> Tuple[int, int]:
         """(a2, a4) of a knot's Conway polynomial."""
@@ -96,100 +81,57 @@ class SkeinEngine:
                 f"skein recursion exceeded {self.max_nodes} nodes"
             )
 
-    def _memo_get(self, memo, key):
-        val = memo.get(key)
+    def _memo_get(self, key):
+        val = self._memo.get(key)
         if val is not None:
-            memo.move_to_end(key)
+            self._memo.move_to_end(key)
         return val
 
-    def _memo_put(self, memo, key, val):
-        memo[key] = val
-        if len(memo) > self.memo_capacity:
-            memo.popitem(last=False)
-
-    def _prepare(self, d: Diagram):
-        """Simplify, strip loops; returns (core, loops, key or None result)."""
-        d = d.simplify()
-        core, loops = _strip_loops(d)
-        return core, loops
+    def _memo_put(self, key, val):
+        self._memo[key] = val
+        if len(self._memo) > self.memo_capacity:
+            self._memo.popitem(last=False)
 
     def _homfly(self, d: Diagram) -> LaurentPoly:
-        self._tick()
-        core, loops = self._prepare(d)
-        if core.num_crossings == 0:
-            return UNLINK_FACTOR ** (loops - 1)
-        key = core.canonical_code()
-        cached = self._memo_get(self._memo_homfly, key)
-        if cached is None:
-            k = _descending_violation(core)
-            if k is None:
-                cached = UNLINK_FACTOR ** (core.num_components - 1)
+        """The skein recursion, depth-first on an explicit stack.
+
+        A task is a diagram to evaluate or a ``(key, sign, loops)`` step
+        that combines the two child values on top of ``values``.  The
+        smoothed child is pushed before the switched one, so nodes are
+        visited, counted and memoized in plain recursive order.
+        """
+        values: List[LaurentPoly] = []
+        tasks: list = [d]
+        while tasks:
+            task = tasks.pop()
+            if isinstance(task, Diagram):
+                self._tick()
+                core, loops = _strip_loops(task.simplify())
+                if core.num_crossings == 0:
+                    values.append(UNLINK_FACTOR ** (loops - 1))
+                    continue
+                key = core.canonical_code()
+                cached = self._memo_get(key)
+                if cached is None:
+                    k = _descending_violation(core)
+                    if k is not None:
+                        tasks.append((key, core.signs[k], loops))
+                        tasks.append(core.smooth_crossing(k))
+                        tasks.append(core.switch_crossing(k))
+                        continue
+                    cached = UNLINK_FACTOR ** (core.num_components - 1)
+                    self._memo_put(key, cached)
             else:
-                sw = self._homfly(core.switch_crossing(k))
-                sm = self._homfly(core.smooth_crossing(k))
-                if core.signs[k] > 0:
+                key, sign, loops = task
+                sm = values.pop()
+                sw = values.pop()
+                if sign > 0:
                     cached = _V2 * sw + _VZ * sm
                 else:
                     cached = _VINV2 * sw + _VINVZ * sm
-            self._memo_put(self._memo_homfly, key, cached)
-        if loops:
-            return cached * UNLINK_FACTOR ** loops
-        return cached
-
-    def _conway(self, d: Diagram) -> LaurentPoly:
-        self._tick()
-        core, loops = self._prepare(d)
-        if core.num_crossings == 0:
-            return LaurentPoly.one() if loops == 1 else LaurentPoly.zero()
-        if loops:
-            return LaurentPoly.zero()  # split: a free loop beside crossings
-        key = core.canonical_code()
-        cached = self._memo_get(self._memo_conway, key)
-        if cached is None:
-            k = _descending_violation(core)
-            if k is None:
-                cached = (
-                    LaurentPoly.one()
-                    if core.num_components == 1
-                    else LaurentPoly.zero()
-                )
-            else:
-                sw = self._conway(core.switch_crossing(k))
-                sm = self._conway(core.smooth_crossing(k))
-                if core.signs[k] > 0:
-                    cached = sw + _Z * sm
-                else:
-                    cached = sw - _Z * sm
-            self._memo_put(self._memo_conway, key, cached)
-        return cached
-
-    def _p0(self, d: Diagram) -> LaurentPoly:
-        self._tick()
-        core, loops = self._prepare(d)
-        if core.num_crossings == 0:
-            return P0_UNLINK_FACTOR ** (loops - 1)
-        key = core.canonical_code()
-        cached = self._memo_get(self._memo_p0, key)
-        if cached is None:
-            k = _descending_violation(core)
-            if k is None:
-                cached = P0_UNLINK_FACTOR ** (core.num_components - 1)
-            else:
-                q = core.crossings[k]
-                same = core.component_of(q[0]) == core.component_of(q[1])
-                sw = self._p0(core.switch_crossing(k))
-                if same:
-                    sm = self._p0(core.smooth_crossing(k))
-                    if core.signs[k] > 0:
-                        cached = _V2 * (sw + sm)
-                    else:
-                        cached = _VINV2 * sw - sm
-                else:
-                    cached = _V2 * sw if core.signs[k] > 0 else _VINV2 * sw
-            self._memo_put(self._memo_p0, key, cached)
-        if loops:
-            return cached * P0_UNLINK_FACTOR ** loops
-        return cached
+                self._memo_put(key, cached)
+            values.append(cached * UNLINK_FACTOR ** loops if loops else cached)
+        return values.pop()
 
 
 def _strip_loops(d: Diagram) -> Tuple[Diagram, int]:

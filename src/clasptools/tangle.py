@@ -276,18 +276,7 @@ def horizontal_twists(n: int) -> Tangle:
     variant = "A" if n > 0 else "B"
     t = _crossing(variant)
     for _ in range(abs(n) - 1):
-        nxt = _crossing(variant)
-        out = t.copy()
-        m = out._absorb(nxt)
-        out._connect(out.boundary["NE"], m["NW"])
-        out._connect(out.boundary["SE"], m["SW"])
-        out.boundary = {
-            "NW": out.boundary["NW"],
-            "SW": out.boundary["SW"],
-            "NE": m["NE"],
-            "SE": m["SE"],
-        }
-        t = out
+        t = tangle_sum(t, _crossing(variant))
     return t
 
 

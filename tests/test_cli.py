@@ -42,15 +42,29 @@ def test_invariants_deterministic(capsys):
     assert len(outs) == 1
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, monkeypatch):
     code, _, err = run(capsys, "invariants", "nosuchknot")
     assert code == EXIT_UNKNOWN_NAME and "unknown census name" in err
     code, _, err = run(capsys, "invariants", "PD[X[1,2,3]]")
     assert code == EXIT_PARSE
     code, _, err = run(capsys, "--node-budget", "2", "invariants", "6_2")
     assert code == EXIT_BUDGET
+    code, _, err = run(capsys, "--node-budget", "0", "invariants", "3_1")
+    assert code == EXIT_BUDGET and "exceeded 0 nodes" in err
     code, _, err = run(capsys, "corollary12")
     assert code == EXIT_ERROR and "missing required entries" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["--jobs=2", "invariants", "3_1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs=2" in capsys.readouterr().err
+
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    # An internal KeyError is a bug, not an unknown census name.
+    monkeypatch.setattr("clasptools.cli.load_census", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["invariants", "3_1"])
 
 
 def test_clasp_obstruct(capsys):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from clasptools.diagram import Diagram, parse_pd
@@ -142,6 +146,45 @@ def test_memo_reuse():
     n1 = eng.nodes_used
     eng.homfly(TREFOIL)
     assert eng.nodes_used == n1 + 1  # one node: cache hit at the root
+
+
+def test_conway_and_p0_are_read_off_the_memoized_homfly():
+    for d in (TREFOIL, FIG8, HOPF_POS, TREFOIL.connected_sum(FIG8)):
+        eng = SkeinEngine()
+        eng.homfly(d)
+        n = eng.nodes_used
+        eng.conway(d)
+        assert eng.nodes_used == n + 1  # one node: memo hit at the root
+        eng.p0(d)
+        assert eng.nodes_used == n + 2
+
+
+def test_engine_leaves_recursion_limit_alone():
+    code = (
+        "import sys; before = sys.getrecursionlimit(); import clasptools; "
+        "clasptools.SkeinEngine(); assert sys.getrecursionlimit() == before"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env=_child_env())
+
+
+def test_deep_recursion_needs_no_python_stack():
+    # A recursive walk of the skein tree of T(2,41) overflows a recursion
+    # limit of 30; the engine keeps its own stack.
+    code = (
+        "import sys; from clasptools import SkeinEngine, closed_braid; "
+        "eng = SkeinEngine(); d = closed_braid([1] * 41, 2); "
+        "sys.setrecursionlimit(30); print(eng.conway(d).to_text())"
+    )
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, env=_child_env()).stdout
+    assert out.startswith("1 + 210*z^2 + 7315*z^4 + 100947*z^6 + ")
+
+
+def _child_env():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def test_switching_any_trefoil_crossing_unknots_it():
