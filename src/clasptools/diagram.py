@@ -21,7 +21,6 @@ Diagrams are immutable; every operation returns a fresh value.
 from __future__ import annotations
 
 import re
-from itertools import permutations, product
 from typing import Dict, List, Sequence, Tuple
 
 Quad = Tuple[int, int, int, int]
@@ -249,41 +248,82 @@ class Diagram:
     # -- canonical form -------------------------------------------------
 
     def canonical_code(self) -> str:
-        """Label-renumbering-invariant code string.
+        """Label-renumbering-invariant code string (a traversal canonical form).
 
-        Minimizes the sorted signed crossing list over all per-component
-        label rotations and component orderings; diagrams differing only
-        by such relabelings map to equal strings.
+        Two diagrams get equal strings exactly when one becomes the other by
+        reordering components and rotating the labels within each.  The
+        edge components split into connected pieces (components that share
+        a crossing).  For each start edge of a piece, its component is
+        labelled from that edge, and further components are labelled
+        first-in-first-out in the order the walk meets them: scanning the
+        labelled edges in label order, the other strand leaving the
+        crossing where an edge ends starts the next unlabelled component.
+        A piece's code is the least sorted signed crossing list over its
+        start edges; the piece codes are joined in sorted order, after
+        Weinberg's planar-graph traversal code.  It costs O(n^2) for n
+        crossings, one O(n) walk per start edge (each list comes out
+        sorted, so the O(n log n) sort is not needed), with no bound on the
+        number of components.
         """
-        comps = self.components
-        k = len(comps)
-        if k == 0:
+        if not self.crossings:
             return f"|U{self.free_loops}"
-        if k > 8:
-            raise DiagramError("canonical code supports at most 8 edge components")
-        best = None
-        lengths = [len(c) for c in comps]
-        mapping = [0] * (2 * len(self.crossings) + 1)
-        for order in permutations(range(k)):
-            for rots in product(*(range(lengths[ci]) for ci in order)):
-                nxt = 1
-                for ci, r in zip(order, rots):
-                    cyc = comps[ci]
-                    L = len(cyc)
-                    for t in range(L):
-                        mapping[cyc[(r + t) % L]] = nxt + t
-                    nxt += L
-                rel = sorted(
-                    (mapping[a], mapping[b], mapping[c], mapping[d], s)
-                    for (a, b, c, d), s in zip(self.crossings, self.signs)
-                )
-                if best is None or rel < best:
-                    best = rel
-        body = ";".join(
-            "X[%d,%d,%d,%d]%s" % (a, b, c, d, "+" if s > 0 else "-")
-            for a, b, c, d, s in best
-        )
-        return body + f"|U{self.free_loops}"
+        comps = self.components
+        comp_of = self._comp_of
+        size = 2 * len(self.crossings) + 1
+        other = [0] * size  # outgoing edge of the other strand where e ends
+        under = [None] * size  # crossing whose under strand e enters
+        for (a, b, c, d), s in zip(self.crossings, self.signs):
+            oi, oo = (b, d) if s > 0 else (d, b)
+            other[a] = oo
+            other[oi] = c
+            under[a] = (a, b, c, d, s)
+
+        def walk(start: int) -> List[int]:
+            """Edges in label order for the labelling that starts at ``start``."""
+            order: List[int] = []
+            placed = [False] * len(comps)
+            e, pos = start, 0
+            while True:
+                ci = comp_of[e]
+                if not placed[ci]:
+                    placed[ci] = True
+                    base, length = comps[ci][0], len(comps[ci])
+                    order.extend(base + (e - base + t) % length for t in range(length))
+                if pos == len(order):
+                    return order
+                e = other[order[pos]]
+                pos += 1
+
+        pieces = []
+        seen = set()
+        label = [0] * size
+        for cyc in comps:
+            if cyc[0] in seen:
+                continue
+            edges = walk(cyc[0])
+            seen.update(edges)
+            best = None
+            # The least code starts with label 1 on an under-in edge, so
+            # only those start edges can attain it.
+            for start in edges:
+                if under[start] is None:
+                    continue
+                order = walk(start)
+                for i, e in enumerate(order, 1):
+                    label[e] = i
+                # An edge enters at most one crossing as its under strand,
+                # so emitting in label order gives the sorted list.
+                code = [
+                    (label[a], label[b], label[c], label[d], s)
+                    for a, b, c, d, s in (under[e] for e in order if under[e])
+                ]
+                if best is None or code < best:
+                    best = code
+            pieces.append(";".join(
+                "X[%d,%d,%d,%d]%s" % (a, b, c, d, "+" if s > 0 else "-")
+                for a, b, c, d, s in best
+            ))
+        return "/".join(sorted(pieces)) + f"|U{self.free_loops}"
 
     # -- text -----------------------------------------------------------
 
@@ -594,11 +634,15 @@ class _Builder:
         return False
 
     def reduce_r2(self) -> bool:
-        ids = sorted(self.cr)
-        for j in ids:
-            for k in ids:
-                if k <= j or j not in self.cr or k not in self.cr:
-                    continue
+        # A bigon (j, k) shares an arc, so k lies at a far end of one of
+        # j's arcs; pairs are tried in the order of a full (j, k) scan.
+        for j in sorted(self.cr):
+            ends = set()
+            for p in range(4):
+                arc = self.arcs[self.arc_at(j, p)]
+                if arc["tail"] and arc["head"]:
+                    ends.update((arc["tail"][0], arc["head"][0]))
+            for k in sorted(x for x in ends if x > j):
                 between = []
                 for p in range(4):
                     a = self.arc_at(j, p)

@@ -37,6 +37,9 @@ class BudgetExceededError(RuntimeError):
 class SkeinEngine:
     """Shared-memo invariant calculator.
 
+    ``max_nodes`` bounds the skein nodes of each query, one top-level
+    ``homfly`` call; ``nodes_used`` counts every node the engine visited.
+
     An engine belongs to one thread: the LRU memo is not locked, and a
     lookup racing with an eviction from another thread can fail.  Give
     each thread its own engine.
@@ -74,13 +77,6 @@ class SkeinEngine:
 
     # -- internals ------------------------------------------------------
 
-    def _tick(self):
-        self.nodes_used += 1
-        if self.nodes_used > self.max_nodes:
-            raise BudgetExceededError(
-                f"skein recursion exceeded {self.max_nodes} nodes"
-            )
-
     def _memo_get(self, key):
         val = self._memo.get(key)
         if val is not None:
@@ -100,12 +96,17 @@ class SkeinEngine:
         smoothed child is pushed before the switched one, so nodes are
         visited, counted and memoized in plain recursive order.
         """
+        limit = self.nodes_used + self.max_nodes  # the budget is per query
         values: List[LaurentPoly] = []
         tasks: list = [d]
         while tasks:
             task = tasks.pop()
             if isinstance(task, Diagram):
-                self._tick()
+                self.nodes_used += 1
+                if self.nodes_used > limit:
+                    raise BudgetExceededError(
+                        f"skein recursion exceeded {self.max_nodes} nodes"
+                    )
                 core, loops = _strip_loops(task.simplify())
                 if core.num_crossings == 0:
                     values.append(UNLINK_FACTOR ** (loops - 1))

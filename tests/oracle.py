@@ -6,7 +6,12 @@ simplification, and it rewrites toward an *ascending* diagram (first
 visit to each crossing forced onto the under strand) instead of the
 engine's descending strategy.  Exponential, but fine at oracle scale
 (census diagrams up to 9 crossings).
+
+It also keeps the brute-force canonical code, the minimum over every
+relabeling, as the reference for the traversal code in ``Diagram``.
 """
+
+from itertools import permutations, product
 
 from clasptools.diagram import Diagram
 from clasptools.laurent import LaurentPoly, UNLINK_FACTOR, extract_p_i
@@ -60,3 +65,37 @@ def conway_bruteforce(d: Diagram) -> LaurentPoly:
 
 def p0_bruteforce(d: Diagram) -> LaurentPoly:
     return extract_p_i(homfly_bruteforce(d), d.num_components, 0)
+
+
+def canonical_code_bruteforce(d: Diagram) -> str:
+    """Least sorted signed crossing list over every component order and
+    every label rotation within each component (k! * prod L_i relabelings).
+
+    Equal strings exactly when ``Diagram.canonical_code`` gives equal
+    strings; the two encodings differ, so compare classes, not strings.
+    """
+    comps = d.components
+    if not comps:
+        return f"|U{d.free_loops}"
+    best = None
+    mapping = [0] * (d.num_edges + 1)
+    for order in permutations(range(len(comps))):
+        for rots in product(*(range(len(comps[ci])) for ci in order)):
+            nxt = 1
+            for ci, r in zip(order, rots):
+                cyc = comps[ci]
+                L = len(cyc)
+                for t in range(L):
+                    mapping[cyc[(r + t) % L]] = nxt + t
+                nxt += L
+            rel = sorted(
+                (mapping[a], mapping[b], mapping[c], mapping[dd], s)
+                for (a, b, c, dd), s in zip(d.crossings, d.signs)
+            )
+            if best is None or rel < best:
+                best = rel
+    body = ";".join(
+        "X[%d,%d,%d,%d]%s" % (a, b, c, dd, "+" if s > 0 else "-")
+        for a, b, c, dd, s in best
+    )
+    return body + f"|U{d.free_loops}"

@@ -1,8 +1,14 @@
+import math
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clasptools.diagram import Diagram, DiagramError, parse_pd
+from clasptools.tangle import closed_braid
+
+from oracle import canonical_code_bruteforce
 
 TREFOIL = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
 FIG8 = "PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]"
@@ -114,6 +120,65 @@ def test_canonical_code_label_rotation(shift):
     t = parse_pd(TREFOIL)
     quads = [tuple((e + shift - 1) % 6 + 1 for e in q) for q in t.crossings]
     assert Diagram(quads).canonical_code() == t.canonical_code()
+
+
+def _relabel(d, rnd):
+    """Shuffle the component order, rotate labels within each component and
+    shuffle the crossing list: a relabeling the canonical code ignores."""
+    comps = list(d.components)
+    rnd.shuffle(comps)
+    new = {}
+    nxt = 1
+    for cyc in comps:
+        r = rnd.randrange(len(cyc))
+        for t in range(len(cyc)):
+            new[cyc[(r + t) % len(cyc)]] = nxt + t
+        nxt += len(cyc)
+    items = [(tuple(new[e] for e in q), s) for q, s in zip(d.crossings, d.signs)]
+    rnd.shuffle(items)
+    return Diagram._trusted([q for q, _ in items], [s for _, s in items], d.free_loops)
+
+
+@st.composite
+def braid_closures(draw, max_strands=5, max_len=7):
+    n = draw(st.integers(2, max_strands))
+    letters = st.integers(1, n - 1).flatmap(lambda g: st.sampled_from([g, -g]))
+    return closed_braid(draw(st.lists(letters, min_size=1, max_size=max_len)), n)
+
+
+def _oracle_cost(d):
+    return math.factorial(len(d.components)) * math.prod(len(c) for c in d.components)
+
+
+@given(braid_closures(), st.one_of(st.none(), braid_closures(3, 4)), st.randoms())
+@settings(max_examples=40, deadline=None)
+def test_canonical_code_matches_bruteforce_classes(base, extra, rnd):
+    if extra is not None:
+        base = base.disjoint_union(extra)
+    family = [base]
+    for k in range(base.num_crossings):
+        family += [base.smooth_crossing(k), base.switch_crossing(k)]
+    family = [d for d in family if _oracle_cost(d) <= 2_000]
+    assume(family)
+    relabeled = [_relabel(d, rnd) for d in family]
+    assert [d.canonical_code() for d in relabeled] == [d.canonical_code() for d in family]
+    family += relabeled
+    new = [d.canonical_code() for d in family]
+    old = [canonical_code_bruteforce(d) for d in family]
+    for i in range(len(family)):
+        for j in range(i):
+            assert (new[i] == new[j]) == (old[i] == old[j])
+
+
+def test_canonical_code_has_no_component_cap():
+    hopf = parse_pd(HOPF_POS)
+    five = hopf
+    for _ in range(4):
+        five = five.disjoint_union(hopf)
+    assert five.num_components == 10
+    assert _relabel(five, random.Random(0)).canonical_code() == five.canonical_code()
+    one_mirrored = five.delete_components([8, 9]).disjoint_union(hopf.mirror())
+    assert one_mirrored.canonical_code() != five.canonical_code()
 
 
 def test_simplify():

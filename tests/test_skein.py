@@ -5,8 +5,9 @@ import sys
 import pytest
 
 from clasptools.diagram import Diagram, parse_pd
-from clasptools.laurent import LaurentPoly, extract_p_i
+from clasptools.laurent import UNLINK_FACTOR, LaurentPoly, extract_p_i
 from clasptools.skein import BudgetExceededError, SkeinEngine, conway, homfly, p0
+from clasptools.tangle import closed_braid
 
 from oracle import conway_bruteforce, homfly_bruteforce, p0_bruteforce
 
@@ -138,6 +139,36 @@ def test_node_budget():
     eng = SkeinEngine(max_nodes=2)
     with pytest.raises(BudgetExceededError):
         eng.homfly(TREFOIL)
+
+
+def test_node_budget_is_per_query():
+    eng = SkeinEngine(max_nodes=157)
+    eng.homfly(closed_braid([1, 2] * 7, 3))  # T(3,7): exactly 157 nodes
+    assert eng.nodes_used == 157
+    assert eng.homfly(FIG8) == homfly(FIG8)  # a fresh query, a fresh budget
+    assert eng.nodes_used > 157  # the count itself stays cumulative
+
+
+@pytest.mark.parametrize("word, strands, nodes", [
+    ([1, 2] * 7, 3, 157),  # T(3,7)
+    ([1, 2, 3] * 5, 4, 267),  # T(4,5)
+    ([1] * 14, 2, 27),  # T(2,14)
+    ([1] * 61, 2, 121),  # T(2,61)
+])
+def test_pinned_node_counts(word, strands, nodes):
+    # Node counts depend on which diagrams share a memo key and on the
+    # order of Reidemeister moves in simplify; both are meant to stay put.
+    eng = SkeinEngine()
+    eng.homfly(closed_braid(word, strands))
+    assert eng.nodes_used == nodes
+
+
+def test_split_link_of_ten_components():
+    five = HOPF_POS
+    for _ in range(4):
+        five = five.disjoint_union(HOPF_POS)
+    assert five.num_components == 10
+    assert homfly(five) == homfly(HOPF_POS) ** 5 * UNLINK_FACTOR ** 4
 
 
 def test_memo_reuse():
