@@ -6,8 +6,8 @@ to stdout, diagnostics to stderr.  Exit codes: 0 success, 2 unknown
 census name, 3 parse error, 4 node budget exceeded, 1 anything else.
 
 A config file in ``key=value`` format can preload limits (node-budget,
-memo-capacity, bound, deg-bound, coeff-bound, max-cosets, census,
-exceptional); command-line flags override it.
+memo-capacity, bound, max-cosets, census, exceptional); command-line
+flags override it.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ DEFAULTS = {
     "node-budget": 10_000_000,
     "memo-capacity": 1 << 20,
     "bound": 50,
-    "deg-bound": 6,
-    "coeff-bound": 8,
     "max-cosets": 20000,
     "census": None,
     "exceptional": None,

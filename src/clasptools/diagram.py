@@ -201,10 +201,7 @@ class Diagram:
             q = (a, b, c, d) if not under_rev else (c, d, a, b)
             quads.append(tuple(relabel[e] for e in q))
             signs.append(s if under_rev == over_rev else -s)
-        order = sorted(range(len(quads)), key=lambda i: quads[i][0])
-        return Diagram._trusted(
-            [quads[i] for i in order], [signs[i] for i in order], self.free_loops
-        )
+        return _by_under_in(quads, signs, self.free_loops)
 
     def delete_components(self, which) -> "Diagram":
         """Remove the given edge components (a sublink of the rest remains)."""
@@ -228,8 +225,8 @@ class Diagram:
         for ci in which:
             for e in self.components[ci]:
                 aid = b.find(e)
-                if aid in b.arcs:
-                    del b.arcs[aid]
+                if aid in b.head:
+                    del b.tail[aid], b.head[aid]
         return b.to_diagram()
 
     def disjoint_union(self, other: "Diagram") -> "Diagram":
@@ -239,10 +236,23 @@ class Diagram:
         return b.to_diagram()
 
     def simplify(self) -> "Diagram":
-        """Exhaustively apply crossing-decreasing Reidemeister I/II moves."""
+        """Exhaustively apply crossing-decreasing Reidemeister I/II moves.
+
+        Each round makes the move ``_find_move`` picks.  A diagram with no
+        move keeps its labels, and its crossings come back sorted by
+        under-in label (the diagram itself when they already are), which is
+        the form every ``simplify`` result has.
+        """
+        move = _find_move(_arc_tails(self), self._head)
+        if move is None:
+            quads = self.crossings
+            if all(p[0] < q[0] for p, q in zip(quads, quads[1:])):
+                return self
+            return _by_under_in(quads, self.signs, self.free_loops)
         b = _Builder.from_diagram(self)
-        while b.reduce_r1() or b.reduce_r2():
-            pass
+        while move is not None:
+            b.remove(*move)
+            move = _find_move(b.tail, b.head)
         return b.to_diagram()
 
     # -- canonical form -------------------------------------------------
@@ -448,101 +458,132 @@ def _components_from_succ(succ: Dict[int, int], two_n: int) -> Tuple[Tuple[int, 
 
 
 def _infer_signs(quads: Tuple[Quad, ...]) -> Tuple[int, ...]:
-    """Resolve over-strand directions for each crossing.
+    """Resolve over-strand directions for each crossing, in one pass.
 
-    Tries the mod-2n arithmetic rule first at every crossing and falls
-    back to a structural backtracking search; raises DiagramError when no
-    globally consistent direction assignment exists, or when two distinct
-    sign vectors are consistent (ambiguous code).
+    Labels run consecutively along each component, so an over strand with
+    labels x < y runs x -> y when y = x + 1, and y -> x (the wrap of a
+    component's label run) otherwise.  A two-edge component {x, x + 1}
+    meets both of its crossings with the same label pair, so its labels
+    leave its direction open: an under strand of it fixes the direction.
+    When it is over at both crossings it lies above the rest of the
+    diagram, a split unknot, and either direction gives the same link; x
+    is then taken to enter the first of its two crossings in PD order.  A
+    one-edge over loop (``b == d``) cannot occur in a planar diagram and
+    raises DiagramError.  Codes whose directions do not fit together are
+    rejected when the diagram is built.
     """
     _check_edge_multiplicity(quads)
-    n = len(quads)
-    if n == 0:
-        return ()
-    two_n = 2 * n
-
-    succ: Dict[int, int] = {}
-    dst = set()
-    for (a, _, c, _) in quads:
-        if a in succ:
-            raise DiagramError(f"edge {a} is the incoming under-strand twice")
-        if c in dst:
-            raise DiagramError(f"edge {c} is the outgoing under-strand twice")
-        succ[a] = c
-        dst.add(c)
-
-    options: List[List[int]] = []
-    for (a, b, c, d) in quads:
-        # Arithmetic preference: positive iff d == b+1 (mod 2n).
-        pos_first = (d - b) % two_n == 1
-        options.append([1, -1] if pos_first else [-1, 1])
-
-    solutions: List[Tuple[int, ...]] = []
-
-    def assign(i: int):
-        if len(solutions) > 1:
-            return
-        if i == n:
-            try:
-                _components_from_succ(dict(succ), two_n)
-            except DiagramError:
-                return
-            solutions.append(tuple(chosen))
-            return
-        a, b, c, d = quads[i]
-        for s in options[i]:
-            x, y = (b, d) if s > 0 else (d, b)
-            if x in succ or y in dst:
-                continue
-            succ[x] = y
-            dst.add(y)
-            chosen.append(s)
-            assign(i + 1)
-            chosen.pop()
-            del succ[x]
-            dst.discard(y)
-
-    chosen: List[int] = []
-    assign(0)
-    if not solutions:
-        raise DiagramError("no consistent over-strand orientation (invalid PD code)")
-    if len(solutions) > 1:
-        raise DiagramError("ambiguous over-strand orientation")
-    return solutions[0]
+    partners: Dict[int, List[int]] = {}
+    for a, b, c, d in quads:
+        for x, y in ((a, c), (b, d)):
+            partners.setdefault(x, []).append(y)
+            partners.setdefault(y, []).append(x)
+    under_out = {c for _, _, c, _ in quads}
+    over_only = set()
+    signs = []
+    for _, b, _, d in quads:
+        x, y = min(b, d), max(b, d)
+        if x == y:
+            raise DiagramError(
+                f"edge {x} leaves and re-enters one crossing as its over strand"
+                " (not a planar diagram)"
+            )
+        if partners[x] != [y, y]:
+            into = x if y == x + 1 else y
+        elif x in under_out or y in under_out:
+            # The component's other crossing has it under, where one of
+            # its edges leaves; that edge enters here.
+            into = x if x in under_out else y
+        elif x in over_only:
+            into = y
+        else:
+            over_only.add(x)
+            into = x
+        signs.append(1 if into == b else -1)
+    return tuple(signs)
 
 
 # -- surgery ----------------------------------------------------------------
 
+def _by_under_in(quads: Sequence[Quad], signs: Sequence[int], free_loops: int) -> Diagram:
+    """The diagram with its crossings sorted by under-in label."""
+    order = sorted(range(len(quads)), key=lambda i: quads[i][0])
+    return Diagram._trusted([quads[i] for i in order], [signs[i] for i in order], free_loops)
+
+
+def _arc_tails(d: Diagram) -> Dict[int, Tuple[int, int]]:
+    """Edge -> (crossing, port) where it leaves (``Diagram._head`` has where it enters)."""
+    tail: Dict[int, Tuple[int, int]] = {}
+    for k, (q, s) in enumerate(zip(d.crossings, d.signs)):
+        oo = _over_out_port(s)
+        tail[q[2]] = (k, 2)
+        tail[q[oo]] = (k, oo)
+    return tail
+
+
+def _find_move(tail, head):
+    """The first Reidemeister I/II move of a diagram, in one pass over its arcs.
+
+    ``tail`` and ``head`` map each arc to the ``(crossing, port)`` it leaves
+    and enters.  The move is the one a scan over the crossings takes first:
+    R1 at the least crossing with a kink (an arc joining two adjacent ports
+    of one crossing), the kink entering its under-in port before one
+    entering its over-in port; otherwise R2 at the first crossing pair
+    ``(j, k)``, ``j < k``, joined by two arcs of which one runs over and
+    the other under both crossings, trying the joining arcs in the order of
+    their ports at ``j``.  Returns the ``(crossings, arcs)`` that
+    ``_Builder.remove`` takes, the R2 under arc first, or ``None``.
+    """
+    kinks = []
+    joins: Dict[Tuple[int, int], list] = {}
+    for a, (hk, hp) in head.items():
+        tk, tp = tail[a]
+        if tk == hk:
+            if (tp - hp) % 2:
+                kinks.append((hk, hp > 0, a))
+        elif not kinks:
+            if tk < hk:
+                joins.setdefault((tk, hk), []).append((tp, hp, a))
+            else:
+                joins.setdefault((hk, tk), []).append((hp, tp, a))
+    if kinks:
+        k, _, a = min(kinks)
+        return (k,), (a,)
+    for jk in sorted(jk for jk, arcs in joins.items() if len(arcs) > 1):
+        arcs = sorted(joins[jk])
+        for i, (ej, ek, e) in enumerate(arcs):
+            for fj, fk, f in arcs[i + 1:]:
+                # Ports 1 and 3 are over, 0 and 2 under.
+                if ej % 2 == ek % 2 != fj % 2 == fk % 2:
+                    return jk, ((f, e) if ej % 2 else (e, f))
+    return None
+
+
 class _Builder:
     """Mutable crossing/arc graph used for smoothing, sums and simplification.
 
-    Arcs are directed (tail -> head); endpoints are (crossing, port) pairs.
-    Merged arcs are tracked through a union-find alias map, so captured arc
-    ids stay valid across splices.
+    Arcs are directed: ``tail`` and ``head`` map each live arc to the
+    ``(crossing, port)`` it leaves and enters, and ``cr`` maps a crossing to
+    its port list and sign.  A splice keeps the smaller of the two arc ids
+    and aliases the other to it (union-find), so captured arc ids and port
+    lists stay valid, and an arc's id is the least edge label merged into
+    it.
     """
 
     def __init__(self):
-        self.cr: Dict[int, dict] = {}
-        self.arcs: Dict[int, dict] = {}
+        self.cr: Dict[int, Tuple[List[int], int]] = {}
+        self.tail: Dict[int, Tuple[int, int]] = {}
+        self.head: Dict[int, Tuple[int, int]] = {}
         self.alias: Dict[int, int] = {}
-        self.key: Dict[int, int] = {}
         self.free_loops = 0
 
     @classmethod
     def from_diagram(cls, d: Diagram) -> "_Builder":
         b = cls()
         b.free_loops = d.free_loops
-        for k, (q, s) in enumerate(zip(d.crossings, d.signs)):
-            b.cr[k] = {"ports": list(q), "sign": s}
-        for e in range(1, d.num_edges + 1):
-            b.arcs[e] = {"tail": None, "head": None}
-            b.key[e] = e
-        for k, (q, s) in enumerate(zip(d.crossings, d.signs)):
-            b.arcs[q[0]]["head"] = (k, 0)
-            b.arcs[q[2]]["tail"] = (k, 2)
-            oi, oo = _over_in_port(s), _over_out_port(s)
-            b.arcs[q[oi]]["head"] = (k, oi)
-            b.arcs[q[oo]]["tail"] = (k, oo)
+        b.cr = {k: (list(q), s) for k, (q, s) in enumerate(zip(d.crossings, d.signs))}
+        b.tail = _arc_tails(d)
+        b.head = dict(d._head)
         return b
 
     def find(self, aid: int) -> int:
@@ -556,16 +597,16 @@ class _Builder:
         y = self.find(y)
         if x == y:
             self.free_loops += 1
-            del self.arcs[x]
+            del self.tail[x], self.head[x]
             return
-        self.arcs[x]["head"] = self.arcs[y]["head"]
-        self.alias[y] = x
-        self.key[x] = min(self.key[x], self.key[y])
-        del self.arcs[y]
+        tail, head = self.tail.pop(x), self.head.pop(y)
+        del self.head[x], self.tail[y]
+        keep = min(x, y)
+        self.tail[keep], self.head[keep] = tail, head
+        self.alias[x + y - keep] = keep
 
     def smooth(self, k: int):
-        c = self.cr.pop(k)
-        q, s = c["ports"], c["sign"]
+        q, s = self.cr.pop(k)
         if s > 0:
             self.splice(q[0], q[3])
             self.splice(q[1], q[2])
@@ -573,182 +614,63 @@ class _Builder:
             self.splice(q[0], q[1])
             self.splice(q[3], q[2])
 
+    def remove(self, crossings, arcs):
+        """Reidemeister move: delete the crossings and the arcs between them.
+
+        Each deleted arc's strand is rejoined: the arc entering the strand
+        at its tail is spliced to the arc leaving the strand at its head
+        (port p's strand partner is port p + 2 mod 4).
+        """
+        joins = []
+        for a in arcs:
+            (tk, tp), (hk, hp) = self.tail.pop(a), self.head.pop(a)
+            joins.append((self.cr[tk][0][(tp + 2) % 4], self.cr[hk][0][(hp + 2) % 4]))
+        for k in crossings:
+            del self.cr[k]
+        for x, y in joins:
+            self.splice(x, y)
+
     def absorb(self, d: Diagram) -> Tuple[int, int]:
         """Add a disjoint copy of d; returns (arc id offset, crossing offset)."""
-        arc_off = max(self.key.values(), default=0)
-        cr_off = max(self.cr.keys(), default=-1) + 1
+        arc_off = max(max(self.head, default=0), max(self.alias, default=0))
+        cr_off = max(self.cr, default=-1) + 1
         other = _Builder.from_diagram(d)
-        for k, c in other.cr.items():
-            self.cr[cr_off + k] = {
-                "ports": [p + arc_off for p in c["ports"]],
-                "sign": c["sign"],
-            }
-        for aid, arc in other.arcs.items():
-            na = aid + arc_off
-            self.arcs[na] = {
-                "tail": (arc["tail"][0] + cr_off, arc["tail"][1]) if arc["tail"] else None,
-                "head": (arc["head"][0] + cr_off, arc["head"][1]) if arc["head"] else None,
-            }
-            self.key[na] = na
+        for k, (ports, s) in other.cr.items():
+            self.cr[cr_off + k] = ([p + arc_off for p in ports], s)
+        for aid in other.head:
+            (tk, tp), (hk, hp) = other.tail[aid], other.head[aid]
+            self.tail[aid + arc_off] = (tk + cr_off, tp)
+            self.head[aid + arc_off] = (hk + cr_off, hp)
         self.free_loops += other.free_loops
         return arc_off, cr_off
 
     def cross_join(self, a: int, b: int):
         """Cut arcs a and b and cross-rejoin (tail_a -> head_b, tail_b -> head_a)."""
         a, b = self.find(a), self.find(b)
-        ha, hb = self.arcs[a]["head"], self.arcs[b]["head"]
-        self.arcs[a]["head"] = hb
-        self.arcs[b]["head"] = ha
-        self.cr[hb[0]]["ports"][hb[1]] = a
-        self.cr[ha[0]]["ports"][ha[1]] = b
-
-    # -- Reidemeister reductions ------------------------------------
-
-    def _in_ports(self, k: int) -> Tuple[int, int]:
-        return (0, _over_in_port(self.cr[k]["sign"]))
-
-    def _out_ports(self, k: int) -> Tuple[int, int]:
-        return (2, _over_out_port(self.cr[k]["sign"]))
-
-    def arc_at(self, k: int, p: int) -> int:
-        return self.find(self.cr[k]["ports"][p])
-
-    def reduce_r1(self) -> bool:
-        for k in sorted(self.cr):
-            for ip in self._in_ports(k):
-                a = self.arc_at(k, ip)
-                tail = self.arcs[a]["tail"]
-                if tail is None or tail[0] != k:
-                    continue
-                if (tail[1] - ip) % 4 not in (1, 3):
-                    continue
-                # Kink: remove the crossing, join the two remaining ports.
-                other_in = [p for p in self._in_ports(k) if p != ip][0]
-                other_out = [p for p in self._out_ports(k) if p != tail[1]][0]
-                x = self.arc_at(k, other_in)
-                y = self.arc_at(k, other_out)
-                del self.cr[k]
-                del self.arcs[a]
-                self.splice(x, y)
-                return True
-        return False
-
-    def reduce_r2(self) -> bool:
-        # A bigon (j, k) shares an arc, so k lies at a far end of one of
-        # j's arcs; pairs are tried in the order of a full (j, k) scan.
-        for j in sorted(self.cr):
-            ends = set()
-            for p in range(4):
-                arc = self.arcs[self.arc_at(j, p)]
-                if arc["tail"] and arc["head"]:
-                    ends.update((arc["tail"][0], arc["head"][0]))
-            for k in sorted(x for x in ends if x > j):
-                between = []
-                for p in range(4):
-                    a = self.arc_at(j, p)
-                    arc = self.arcs[a]
-                    ends = {arc["tail"][0], arc["head"][0]} if arc["tail"] and arc["head"] else set()
-                    if ends == {j, k} and a not in [x[0] for x in between]:
-                        between.append((a, arc))
-                for i1 in range(len(between)):
-                    for i2 in range(i1 + 1, len(between)):
-                        if self._try_r2(j, k, between[i1][0], between[i2][0]):
-                            return True
-        return False
-
-    def _port_at(self, arc_id: int, k: int) -> int:
-        arc = self.arcs[arc_id]
-        if arc["tail"][0] == k:
-            return arc["tail"][1]
-        return arc["head"][1]
-
-    def _try_r2(self, j: int, k: int, e: int, f: int) -> bool:
-        pe_j, pf_j = self._port_at(e, j), self._port_at(f, j)
-        pe_k, pf_k = self._port_at(e, k), self._port_at(f, k)
-        if (pe_j - pf_j) % 4 not in (1, 3) or (pe_k - pf_k) % 4 not in (1, 3):
-            return False
-        over = lambda p: p in (1, 3)
-        if over(pe_j) and over(pe_k) and not over(pf_j) and not over(pf_k):
-            pass
-        elif over(pf_j) and over(pf_k) and not over(pe_j) and not over(pe_k):
-            e, f = f, e
-            pe_j, pf_j, pe_k, pf_k = pf_j, pe_j, pf_k, pe_k
-        else:
-            return False
-        # e runs over both crossings, f under both: the bigon lifts off.
-        joins = []
-        for strand_ports, bigonic in ((self._strand_ports_under, f), (self._strand_ports_over, e)):
-            pj = strand_ports(j)
-            pk = strand_ports(k)
-            bj = self._port_at(bigonic, j)
-            bk = self._port_at(bigonic, k)
-            ext_j = [p for p in pj if p != bj][0]
-            ext_k = [p for p in pk if p != bk][0]
-            ins, outs = [], []
-            for c, p in ((j, ext_j), (k, ext_k)):
-                if p in self._in_ports(c):
-                    ins.append((c, p))
-                else:
-                    outs.append((c, p))
-            if len(ins) != 1 or len(outs) != 1:
-                return False
-            joins.append((self.arc_at(*ins[0]), self.arc_at(*outs[0])))
-        e, f = self.find(e), self.find(f)
-        del self.cr[j]
-        del self.cr[k]
-        del self.arcs[e]
-        del self.arcs[f]
-        for x, y in joins:
-            self.splice(x, y)
-        return True
-
-    def _strand_ports_under(self, k: int) -> Tuple[int, int]:
-        return (0, 2)
-
-    def _strand_ports_over(self, k: int) -> Tuple[int, int]:
-        s = self.cr[k]["sign"]
-        return (_over_in_port(s), _over_out_port(s))
-
-    # -- emission -----------------------------------------------------
-
-    def _next_arc(self, aid: int) -> int:
-        k, p = self.arcs[aid]["head"]
-        c = self.cr[k]
-        if p == 0:
-            return self.find(c["ports"][2])
-        return self.find(c["ports"][_over_out_port(c["sign"])])
+        ha, hb = self.head[a], self.head[b]
+        self.head[a], self.head[b] = hb, ha
+        self.cr[hb[0]][0][hb[1]] = a
+        self.cr[ha[0]][0][ha[1]] = b
 
     def to_diagram(self) -> Diagram:
-        live = sorted(self.arcs, key=lambda a: self.key[a])
+        """Label each component from its least arc id, components in the
+        order of those ids, and sort the crossings by under-in label."""
         label: Dict[int, int] = {}
-        comps: List[List[int]] = []
-        for start in live:
+        nxt = 1
+        for start in sorted(self.head):
             if start in label:
                 continue
-            cyc = []
             cur = start
             while True:
-                cyc.append(cur)
-                label[cur] = 0  # placeholder; assigned after ordering
-                cur = self._next_arc(cur)
+                label[cur] = nxt
+                nxt += 1
+                k, p = self.head[cur]
+                cur = self.find(self.cr[k][0][(p + 2) % 4])
                 if cur == start:
                     break
-            comps.append(cyc)
-        comps.sort(key=lambda cyc: min(self.key[a] for a in cyc))
-        nxt = 1
-        for cyc in comps:
-            # Start each cycle at its smallest-key arc for determinism.
-            i0 = min(range(len(cyc)), key=lambda i: self.key[cyc[i]])
-            for t in range(len(cyc)):
-                label[cyc[(i0 + t) % len(cyc)]] = nxt + t
-            nxt += len(cyc)
         quads = []
         signs = []
-        for k in self.cr:
-            c = self.cr[k]
-            quads.append(tuple(label[self.find(p)] for p in c["ports"]))
-            signs.append(c["sign"])
-        order = sorted(range(len(quads)), key=lambda i: quads[i][0])
-        quads = [quads[i] for i in order]
-        signs = [signs[i] for i in order]
-        return Diagram._trusted(quads, signs, self.free_loops)
+        for ports, s in self.cr.values():
+            quads.append(tuple(label[self.find(p)] for p in ports))
+            signs.append(s)
+        return _by_under_in(quads, signs, self.free_loops)

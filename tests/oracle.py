@@ -8,12 +8,15 @@ engine's descending strategy.  Exponential, but fine at oracle scale
 (census diagrams up to 9 crossings).
 
 It also keeps the brute-force canonical code, the minimum over every
-relabeling, as the reference for the traversal code in ``Diagram``.
+relabeling, as the reference for the traversal code in ``Diagram``, and
+the restart scan (R1 scan, else R2 scan, from the lowest crossing after
+every move) as the reference for the one-pass move finder of
+``Diagram.simplify``.
 """
 
 from itertools import permutations, product
 
-from clasptools.diagram import Diagram
+from clasptools.diagram import Diagram, _Builder, _over_in_port, _over_out_port
 from clasptools.laurent import LaurentPoly, UNLINK_FACTOR, extract_p_i
 
 V2 = LaurentPoly.term(1, ev=2)
@@ -99,3 +102,102 @@ def canonical_code_bruteforce(d: Diagram) -> str:
         for a, b, c, dd, s in best
     )
     return body + f"|U{d.free_loops}"
+
+
+def simplify_restart_scan(d: Diagram) -> Diagram:
+    """``Diagram.simplify`` as a restart scan: after every move, scan the
+    crossings from the lowest for an R1 kink, else for an R2 bigon."""
+    b = _Builder.from_diagram(d)
+    while _reduce_r1(b) or _reduce_r2(b):
+        pass
+    return b.to_diagram()
+
+
+def _in_ports(b, k):
+    return (0, _over_in_port(b.cr[k][1]))
+
+
+def _out_ports(b, k):
+    return (2, _over_out_port(b.cr[k][1]))
+
+
+def _arc_at(b, k, p):
+    return b.find(b.cr[k][0][p])
+
+
+def _delete_arc(b, a):
+    del b.tail[a], b.head[a]
+
+
+def _reduce_r1(b) -> bool:
+    for k in sorted(b.cr):
+        for ip in _in_ports(b, k):
+            a = _arc_at(b, k, ip)
+            tail = b.tail[a]
+            if tail[0] != k or (tail[1] - ip) % 4 not in (1, 3):
+                continue
+            # Kink: remove the crossing, join the two remaining ports.
+            other_in = [p for p in _in_ports(b, k) if p != ip][0]
+            other_out = [p for p in _out_ports(b, k) if p != tail[1]][0]
+            x = _arc_at(b, k, other_in)
+            y = _arc_at(b, k, other_out)
+            del b.cr[k]
+            _delete_arc(b, a)
+            b.splice(x, y)
+            return True
+    return False
+
+
+def _reduce_r2(b) -> bool:
+    for j in sorted(b.cr):
+        for k in sorted(b.cr):
+            if k <= j:
+                continue
+            between = []
+            for p in range(4):
+                a = _arc_at(b, j, p)
+                if {b.tail[a][0], b.head[a][0]} == {j, k} and a not in between:
+                    between.append(a)
+            for i1 in range(len(between)):
+                for i2 in range(i1 + 1, len(between)):
+                    if _try_r2(b, j, k, between[i1], between[i2]):
+                        return True
+    return False
+
+
+def _port_at(b, a, k):
+    return b.tail[a][1] if b.tail[a][0] == k else b.head[a][1]
+
+
+def _try_r2(b, j, k, e, f) -> bool:
+    pe_j, pf_j = _port_at(b, e, j), _port_at(b, f, j)
+    pe_k, pf_k = _port_at(b, e, k), _port_at(b, f, k)
+    if (pe_j - pf_j) % 4 not in (1, 3) or (pe_k - pf_k) % 4 not in (1, 3):
+        return False
+    over = lambda p: p in (1, 3)
+    if over(pe_j) and over(pe_k) and not over(pf_j) and not over(pf_k):
+        pass
+    elif over(pf_j) and over(pf_k) and not over(pe_j) and not over(pe_k):
+        e, f = f, e
+    else:
+        return False
+    # e runs over both crossings, f under both: the bigon lifts off.
+    joins = []
+    for strand_ports, bigonic in (
+        (lambda c: (0, 2), f),
+        (lambda c: (_over_in_port(b.cr[c][1]), _over_out_port(b.cr[c][1])), e),
+    ):
+        ins, outs = [], []
+        for c in (j, k):
+            ext = [p for p in strand_ports(c) if p != _port_at(b, bigonic, c)][0]
+            (ins if ext in _in_ports(b, c) else outs).append((c, ext))
+        if len(ins) != 1 or len(outs) != 1:
+            return False
+        joins.append((_arc_at(b, *ins[0]), _arc_at(b, *outs[0])))
+    del b.cr[j]
+    del b.cr[k]
+    _delete_arc(b, e)
+    _delete_arc(b, f)
+    for x, y in joins:
+        b.splice(x, y)
+    return True

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +119,29 @@ def test_config_file(tmp_path, capsys):
     code, _, _ = run(capsys, "--config", str(cfg), "--node-budget", "10000000",
                      "invariants", "6_2")
     assert code == EXIT_OK
+
+
+def test_config_rejects_unknown_keys(tmp_path, capsys):
+    # deg-bound and coeff-bound set nothing any command reads.
+    for key in ("deg-bound", "coeff-bound"):
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key}=6\n")
+        code, out, err = run(capsys, "--config", str(cfg), "invariants", "3_1")
+        assert code == EXIT_ERROR and out == ""
+        assert f"unknown key {key!r}" in err
+
+
+def test_invariants_split_over_component_closures(capsys):
+    """Braid closures with a two-edge component over at both of its
+    crossings print PD text that reads back to their frozen invariants."""
+    data = Path(__file__).resolve().parents[1] / "bench" / "data" / "braid_links.json"
+    pool = {e["id"]: e for e in json.loads(data.read_text())["pool"]}
+    for name in ("b0000", "b0228", "b0312", "b0526", "b0592"):
+        entry = pool[name]
+        code, out, err = run(capsys, "invariants", entry["pd"])
+        assert code == EXIT_OK, (name, err)
+        payload = json.loads(out)
+        assert {k: payload[k] for k in entry["expect"]} == entry["expect"], name
 
 
 def test_load_census_validation(tmp_path):

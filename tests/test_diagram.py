@@ -5,10 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clasptools.diagram import Diagram, DiagramError, parse_pd
+from clasptools.diagram import Diagram, DiagramError, _Builder, parse_pd
+from clasptools.skein import SkeinEngine
 from clasptools.tangle import closed_braid
 
-from oracle import canonical_code_bruteforce
+from oracle import canonical_code_bruteforce, simplify_restart_scan
 
 TREFOIL = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
 FIG8 = "PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]"
@@ -46,10 +47,23 @@ def test_parse_errors():
     with pytest.raises(DiagramError):
         parse_pd("PD[X[1,2,4,3],X[3,4,2,1]]")  # no consistent orientation
     with pytest.raises(DiagramError):
-        # Totally-over component: two structurally valid readings.
-        parse_pd("PD[X[3,1,4,2],X[4,2,3,1]]")
+        # A one-edge loop through a crossing's over strand: not planar.
+        parse_pd("PD[X[1,2,1,2]]")
     with pytest.raises(DiagramError):
         parse_pd("notapd")
+
+
+def test_split_over_component_orientation_rule():
+    # Component {1, 2} is over at both of its crossings: a split unknot
+    # whose labels leave its direction open.  Edge 1, the lower label,
+    # enters the first crossing (at its over-in port).
+    d = parse_pd("PD[X[3,1,4,2],X[4,2,3,1]]")
+    assert d.signs == (1, 1) and d.incoming_at(1) == (0, 1)
+    assert d.components == ((1, 2), (3, 4))
+    reversed_reading = Diagram._trusted(d.crossings, (-1, -1), 0)
+    assert parse_pd(reversed_reading.pd_text()) == d
+    eng = SkeinEngine()
+    assert eng.homfly(reversed_reading) == eng.homfly(d) == eng.homfly(Diagram.unlink(2))
 
 
 def test_components():
@@ -185,13 +199,52 @@ def test_simplify():
     kink = parse_pd("PD[X[1,1,2,2]]")
     assert kink.simplify().num_crossings == 0
     assert kink.simplify().num_components == 1
-    # R2 pair presenting the 2-unlink (built with explicit signs: its PD
-    # text is ambiguous, which parse correctly rejects).
-    r2 = Diagram._trusted([(3, 1, 4, 2), (4, 2, 3, 1)], (1, 1), 0)
+    # R2 pair presenting the 2-unlink.
+    r2 = parse_pd("PD[X[3,1,4,2],X[4,2,3,1]]")
     s = r2.simplify()
     assert s.num_crossings == 0 and s.free_loops == 2
     t = parse_pd(TREFOIL)
     assert t.simplify().canonical_code() == t.canonical_code()
+
+
+def test_simplify_without_a_move():
+    # A diagram with no move keeps its labels; its crossings come back
+    # sorted by under-in label, as the builder would emit them.
+    t = parse_pd(TREFOIL)
+    assert t.simplify() is t
+    rotated = parse_pd("PD[X[3,6,4,1],X[5,2,6,3],X[1,4,2,5]]")
+    s = rotated.simplify()
+    assert s is not rotated and s == t
+    for d in (t, rotated, parse_pd(FIG8), parse_pd(HOPF_NEG).disjoint_union(t)):
+        s = d.simplify()
+        assert s.num_crossings == d.num_crossings
+        assert s == _Builder.from_diagram(d).to_diagram()
+
+
+def _simplified(d):
+    return d.crossings, d.signs, d.free_loops
+
+
+@given(braid_closures(), st.one_of(st.none(), braid_closures(3, 4)))
+@settings(max_examples=60, deadline=None)
+def test_simplify_matches_restart_scan(base, extra):
+    if extra is not None:
+        base = base.disjoint_union(extra)
+    family = [base]
+    for k in range(base.num_crossings):
+        family += [base.smooth_crossing(k), base.switch_crossing(k)]
+    for d in family:
+        assert _simplified(d.simplify()) == _simplified(simplify_restart_scan(d))
+
+
+@given(braid_closures())
+@settings(max_examples=60, deadline=None)
+def test_pd_text_round_trip_closures(d):
+    back = parse_pd(d.pd_text())
+    assert back.crossings == d.crossings and back.free_loops == d.free_loops
+    assert back.components == d.components
+    eng = SkeinEngine()
+    assert eng.homfly(back) == eng.homfly(d)
 
 
 def test_inter_component_crossing_count_even():

@@ -97,21 +97,26 @@ def test_mirror_is_involution_and_negates_writhe(word):
 @given(words)
 @settings(max_examples=40, deadline=None)
 def test_pd_text_round_trip_random(word):
-    # Knot PD codes always re-parse exactly; multi-component codes either
-    # re-parse exactly or raise the documented ambiguity error (a
-    # component lying entirely over the rest has two structurally valid
-    # label readings).
-    from clasptools.diagram import DiagramError
-
+    # PD codes re-parse to the same crossings and signs, except that a
+    # two-edge component over at both of its crossings (a split unknot,
+    # whose labels leave its direction open) is read by the fixed rule and
+    # may come back reversed: both of its crossings flip sign, and the
+    # HOMFLY polynomial is unchanged.
     d = build(word)
     if d.num_crossings == 0:
         return
-    try:
-        back = Diagram(d.crossings, d.free_loops)
-    except DiagramError as e:
-        assert d.num_components > 1 and "ambiguous" in str(e)
-        return
-    assert back.signs == d.signs
+    back = Diagram(d.crossings, d.free_loops)
+    assert back.crossings == d.crossings
+    flipped = {k for k, (s, t) in enumerate(zip(d.signs, back.signs)) if s != t}
+    under = {d.component_of(q[0]) for q in d.crossings}
+    for k in flipped:
+        ci = d.component_of(d.crossings[k][1])
+        assert len(d.components[ci]) == 2 and ci not in under
+        assert {j for j in flipped if d.component_of(d.crossings[j][1]) == ci} == {
+            j for j, q in enumerate(d.crossings) if d.component_of(q[1]) == ci
+        }
+    if flipped:
+        assert eng.homfly(back) == eng.homfly(d)
 
 
 @given(words)
