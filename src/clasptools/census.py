@@ -98,5 +98,4 @@ def load_exceptional(path: Optional[str] = None) -> List[ExceptionalKnot]:
     return out
 
 
-CORE_NAMES = ("3_1", "4_1", "6_2", "6_3", "7_6", "7_7")
 COROLLARY12_NAMES = ("11n74", "11n116", "11n142", "12n462", "12n838")

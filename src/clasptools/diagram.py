@@ -8,7 +8,8 @@ crossing is positive when the over strand runs b -> d, negative when it
 runs d -> b; for knots this is the classical ``d = b+1 (mod 2n)`` rule,
 and for links the wrap-around at component boundaries is resolved
 structurally (the successor map of edges must be a permutation whose
-cycles are consecutive label runs).
+cycles are consecutive label runs).  A code read from outside must also
+be planar: V - E + F = 2 on every connected piece of crossings.
 
 Crossingless unknot components ("free loops") are tracked by an explicit
 counter: they arise naturally when a smoothing strands a component.  In
@@ -48,6 +49,7 @@ class Diagram:
             if len(q) != 4:
                 raise DiagramError(f"crossing {q} does not have four edge labels")
         signs = _infer_signs(quads)
+        _check_planar(quads)
         self._finish(quads, signs, int(free_loops))
 
     @classmethod
@@ -414,6 +416,51 @@ def _check_edge_multiplicity(quads: Tuple[Quad, ...]):
     bad = [e for e in range(1, two_n + 1) if count[e] != 2]
     if bad:
         raise DiagramError(f"edge labels {bad} do not appear exactly twice")
+
+
+def _check_planar(quads: Tuple[Quad, ...]):
+    """Require V - E + F = 2 on every connected piece of crossings.
+
+    A dart is a crossing port; the faces are the orbits of dart -> the
+    counterclockwise neighbour of its edge's other end (the rule of
+    ``tangle.tangle_faces``).  A piece of n crossings has 2n edges, so
+    V - E + F is its face count minus n.
+    """
+    n = len(quads)
+    ends: Dict[int, List[int]] = {}
+    for i, e in enumerate(e for q in quads for e in q):
+        ends.setdefault(e, []).append(i)
+    other = [0] * (4 * n)
+    for i, j in ends.values():
+        other[i], other[j] = j, i
+    piece = [-1] * n
+    euler: Dict[int, int] = {}  # piece root -> V - E + F
+    for root in range(n):
+        if piece[root] >= 0:
+            continue
+        piece[root] = root
+        stack = [root]
+        while stack:
+            k = stack.pop()
+            euler[root] = euler.get(root, 0) - 1
+            for d in range(4 * k, 4 * k + 4):
+                m = other[d] // 4
+                if piece[m] < 0:
+                    piece[m] = root
+                    stack.append(m)
+    seen = [False] * (4 * n)
+    for start in range(4 * n):
+        if seen[start]:
+            continue
+        euler[piece[start // 4]] += 1
+        d = start
+        while not seen[d]:
+            seen[d] = True
+            o = other[d]
+            d = o - o % 4 + (o + 1) % 4
+    for x in euler.values():
+        if x != 2:
+            raise DiagramError(f"not a planar diagram: V - E + F = {x}, not 2")
 
 
 def _successor_map(quads: Tuple[Quad, ...], signs: Tuple[int, ...]) -> Dict[int, int]:

@@ -46,10 +46,6 @@ class LaurentPoly:
         return cls({(0, 0): 1})
 
     @classmethod
-    def const(cls, c: int) -> "LaurentPoly":
-        return cls({(0, 0): c})
-
-    @classmethod
     def term(cls, c: int, ev: int = 0, ez: int = 0) -> "LaurentPoly":
         return cls({(ev, ez): c})
 
@@ -288,11 +284,6 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_text()!r})"
 
-
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()
-V = LaurentPoly.term(1, ev=1)
-Z = LaurentPoly.term(1, ez=1)
 
 # (v^-1 - v) / z, the HOMFLY value of adding one split unknot component.
 UNLINK_FACTOR = LaurentPoly({(-1, -1): 1, (1, -1): -1})

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .diagram import Diagram
+from .diagram import Diagram, _by_under_in
 
 End = Tuple  # ("x", crossing_id, slot) or ("b", end_id)
 
@@ -207,127 +208,99 @@ class Tangle:
         self._join(x, y)
 
 
-def _crossing(variant: str) -> Tangle:
-    """One crossing with diagonal ends; variant 'A' has SW-NE under, 'B' SE-NW under."""
+# Crossing slot at each compass end of the one-crossing tangles: variant A
+# runs the SW-NE strand (slots 0, 2) under the SE-NW strand, B the reverse.
+# This is the handedness calibration of the module docstring.
+_SLOTS = {
+    "A": {"SW": 0, "SE": 1, "NE": 2, "NW": 3},
+    "B": {"SE": 0, "NE": 1, "NW": 2, "SW": 3},
+}
+_ZERO = (("NW", "NE"), ("SW", "SE"))
+_INFINITY = (("NW", "SW"), ("NE", "SE"))
+
+# Gluing b onto a side of a joins these (a end, b end) pairs; each end a
+# gives up there is taken over by b's end of the same name.
+_GLUE = {
+    "E": (("NE", "NW"), ("SE", "SW")),  # b to the east: a + b
+    "S": (("SW", "NW"), ("SE", "NE")),  # b below: a * b
+    "N": (("NW", "SW"), ("NE", "SE")),  # b above
+}
+
+
+def _tangle(pairs, num_crossings: int = 0) -> Tangle:
+    """A fresh tangle joining ``pairs`` of compass tags or crossing slots."""
     t = Tangle()
-    t.num_crossings = 1
-    ends = {tag: t._new_end() for tag in ("NW", "NE", "SW", "SE")}
-    if variant == "A":
-        compass = {0: "SW", 1: "SE", 2: "NE", 3: "NW"}
+    t.num_crossings = num_crossings
+    t.boundary = {tag: t._new_end() for tag in ("NW", "NE", "SW", "SE")}
+    for x, y in pairs:
+        t._join(t.boundary.get(x, x), t.boundary.get(y, y))
+    return t
+
+
+def _glue(a: Tangle, b: Optional[Tangle], side: str) -> Tangle:
+    """Glue b onto ``side`` of a, numbering a's crossings first.
+
+    With b None, a's own ends stand in for b's: side E then gives the
+    numerator closure.
+    """
+    out = a.copy()
+    far = out.boundary if b is None else out._absorb(b)
+    for x, y in _GLUE[side]:
+        out._connect(out.boundary[x], far[y])
+    if b is None:
+        out.boundary = {}
     else:
-        compass = {0: "SE", 1: "NE", 2: "NW", 3: "SW"}
-    for slot, tag in compass.items():
-        t._join(("x", 0, slot), ends[tag])
-    t.boundary = ends
-    return t
-
-
-def _zero_tangle() -> Tangle:
-    t = Tangle()
-    ends = {tag: t._new_end() for tag in ("NW", "NE", "SW", "SE")}
-    t._join(ends["NW"], ends["NE"])
-    t._join(ends["SW"], ends["SE"])
-    t.boundary = ends
-    return t
-
-
-def _infinity_tangle() -> Tangle:
-    t = Tangle()
-    ends = {tag: t._new_end() for tag in ("NW", "NE", "SW", "SE")}
-    t._join(ends["NW"], ends["SW"])
-    t._join(ends["NE"], ends["SE"])
-    t.boundary = ends
-    return t
+        out.boundary.update({x: far[x] for x, _ in _GLUE[side]})
+    return out
 
 
 def tangle_sum(a: Tangle, b: Tangle) -> Tangle:
-    out = a.copy()
-    bmap = out._absorb(b)
-    out._connect(out.boundary["NE"], bmap["NW"])
-    out._connect(out.boundary["SE"], bmap["SW"])
-    out.boundary = {
-        "NW": out.boundary["NW"],
-        "SW": out.boundary["SW"],
-        "NE": bmap["NE"],
-        "SE": bmap["SE"],
-    }
-    return out
+    return _glue(a, b, "E")
 
 
 def tangle_product(a: Tangle, b: Tangle) -> Tangle:
     """a stacked on top of b."""
-    out = a.copy()
-    bmap = out._absorb(b)
-    out._connect(out.boundary["SW"], bmap["NW"])
-    out._connect(out.boundary["SE"], bmap["NE"])
-    out.boundary = {
-        "NW": out.boundary["NW"],
-        "NE": out.boundary["NE"],
-        "SW": bmap["SW"],
-        "SE": bmap["SE"],
-    }
-    return out
+    return _glue(a, b, "S")
+
+
+def _twists(n: int, side: str, empty) -> Tangle:
+    """|n| crossings glued in a line toward ``side``; ``empty`` pairs at n = 0."""
+    if n == 0:
+        return _tangle(empty)
+    cross = _tangle([(tag, ("x", 0, s)) for tag, s in _SLOTS["A" if n > 0 else "B"].items()], 1)
+    t = cross
+    for _ in range(abs(n) - 1):
+        t = _glue(t, cross, side)
+    return t
 
 
 def horizontal_twists(n: int) -> Tangle:
     """The [n] tangle: |n| crossings in a row."""
-    if n == 0:
-        return _zero_tangle()
-    variant = "A" if n > 0 else "B"
-    t = _crossing(variant)
-    for _ in range(abs(n) - 1):
-        t = tangle_sum(t, _crossing(variant))
-    return t
+    return _twists(n, "E", _ZERO)
 
 
 def vertical_twists(n: int) -> Tangle:
     """The [1/n] tangle: |n| crossings in a column (infinity tangle at n = 0)."""
-    if n == 0:
-        return _infinity_tangle()
-    variant = "A" if n > 0 else "B"
-    t = _crossing(variant)
-    for _ in range(abs(n) - 1):
-        nxt = _crossing(variant)
-        out = t.copy()
-        m = out._absorb(nxt)
-        out._connect(out.boundary["NW"], m["SW"])
-        out._connect(out.boundary["NE"], m["SE"])
-        out.boundary = {
-            "SW": out.boundary["SW"],
-            "SE": out.boundary["SE"],
-            "NW": m["NW"],
-            "NE": m["NE"],
-        }
-        t = out
-    return t
+    return _twists(n, "N", _INFINITY)
 
 
 def rational_tangle(r: ExtendedRational) -> Tangle:
     """Q(p/q) built from the continued fraction blocks."""
     if r.is_infinity:
-        return _infinity_tangle()
+        return _tangle(_INFINITY)
     a = continued_fraction(r)
-    n = len(a)
     t: Optional[Tangle] = None
-    for k in range(1, n + 1):
-        horizontal = (k % 2) == (n % 2)
-        block = horizontal_twists(a[k - 1]) if horizontal else vertical_twists(a[k - 1])
-        if t is None:
-            t = block
-        elif horizontal:
-            t = tangle_sum(t, block)
-        else:
-            t = tangle_product(t, block)
+    for k, x in enumerate(a):
+        # Blocks alternate, ending with the horizontal [a_n].
+        horizontal = (len(a) - k) % 2 == 1
+        block = horizontal_twists(x) if horizontal else vertical_twists(x)
+        t = block if t is None else _glue(t, block, "E" if horizontal else "S")
     return t
 
 
 def closure_tangle(t: Tangle) -> Tangle:
     """Numerator closure in tangle space: join NE to NW and SE to SW."""
-    out = t.copy()
-    out._connect(out.boundary["NE"], out.boundary["NW"])
-    out._connect(out.boundary["SE"], out.boundary["SW"])
-    out.boundary = {}
-    return out
+    return _glue(t, None, "E")
 
 
 def closure(t: Tangle) -> Diagram:
@@ -398,61 +371,43 @@ def _emit(t: Tangle) -> Diagram:
     for e in t.pair:
         if e[0] != "x":
             raise ValueError("tangle still has open boundary ends")
-    arcs: Dict[End, int] = {}  # head endpoint -> label
     label_at: Dict[End, int] = {}
+    heads: List[List[int]] = [[] for _ in range(t.num_crossings)]  # in-slots
     nxt = 1
-    seen = set()
     for start in sorted(t.pair):
-        if start in seen:
+        if start in label_at:
             continue
         # Walk the component: arc from cur to pair[cur], then through the
         # crossing to the opposite slot.
         cur = start
         while True:
             far = t.pair[cur]
-            seen.add(cur)
-            seen.add(far)
-            label_at[cur] = nxt
-            label_at[far] = nxt
+            label_at[cur] = label_at[far] = nxt
             nxt += 1
-            arcs[far] = label_at[cur]
             _, c, s = far
+            heads[c].append(s)
             cur = ("x", c, (s + 2) % 4)
             if cur == start:
                 break
     quads = []
     signs = []
-    for c in range(t.num_crossings):
-        heads = [e for e in (("x", c, s) for s in range(4)) if e in arcs]
-        under_in = [e for e in heads if e[2] in (0, 2)]
-        over_in = [e for e in heads if e[2] in (1, 3)]
-        if len(under_in) != 1 or len(over_in) != 1:
+    for c, slots in enumerate(heads):
+        if sorted(s % 2 for s in slots) != [0, 1]:
             raise ValueError("inconsistent orientation at a crossing")
-        u = under_in[0][2]
-        o = over_in[0][2]
-        quad = tuple(label_at[("x", c, (u + i) % 4)] for i in range(4))
-        quads.append(quad)
+        u, o = sorted(slots, key=lambda s: s % 2)
+        quads.append(tuple(label_at[("x", c, (u + i) % 4)] for i in range(4)))
         signs.append(1 if o == (u + 1) % 4 else -1)
-    order = sorted(range(len(quads)), key=lambda i: quads[i][0])
-    quads = [quads[i] for i in order]
-    signs = [signs[i] for i in order]
-    return Diagram._trusted(quads, signs, t.loops)
+    return _by_under_in(quads, signs, t.loops)
 
 
 def montesinos_diagram(m: MontesinosDesc) -> Diagram:
     """Closure of Q(r1) + Q(r2) + Q(r3)."""
-    t = rational_tangle(m.entries[0])
-    t = tangle_sum(t, rational_tangle(m.entries[1]))
-    t = tangle_sum(t, rational_tangle(m.entries[2]))
-    return closure(t)
+    return closure(reduce(tangle_sum, map(rational_tangle, m.entries)))
 
 
 def pretzel_diagram(*twists: int) -> Diagram:
     """P(t1, ..., tk): numerator closure of summed vertical twist regions."""
-    t = vertical_twists(twists[0])
-    for n in twists[1:]:
-        t = tangle_sum(t, vertical_twists(n))
-    return closure(t)
+    return closure(reduce(tangle_sum, map(vertical_twists, twists)))
 
 
 def closed_braid(word: Sequence[int], n_strands: int, axis: Optional[str] = None) -> Diagram:
@@ -470,23 +425,19 @@ def closed_braid(word: Sequence[int], n_strands: int, axis: Optional[str] = None
     first_in: List[Optional[End]] = [None] * n_strands
     for g in word:
         i = abs(g) - 1
-        # sigma_i^+1: left strand passes over; variant A has the SE-NW
-        # strand over, with compass slots (SW, SE, NE, NW) = (0, 1, 2, 3).
-        variant = "A" if g > 0 else "B"
+        # sigma_i^+1: left strand passes over, as the SE-NW strand of
+        # variant A does.
+        slots = _SLOTS["A" if g > 0 else "B"]
         c = t.num_crossings
         t.num_crossings += 1
-        if variant == "A":
-            nw, ne, sw, se = 3, 2, 0, 1
-        else:
-            nw, ne, sw, se = 2, 1, 3, 0
-        for pos, slot_in in ((i, nw), (i + 1, ne)):
-            end = ("x", c, slot_in)
+        for pos, tag in ((i, "NW"), (i + 1, "NE")):
+            end = ("x", c, slots[tag])
             if cur[pos] is None:
                 first_in[pos] = end
             else:
                 t._join(cur[pos], end)
-        cur[i] = ("x", c, sw)
-        cur[i + 1] = ("x", c, se)
+        cur[i] = ("x", c, slots["SW"])
+        cur[i + 1] = ("x", c, slots["SE"])
 
     if axis is None:
         for j in range(n_strands):

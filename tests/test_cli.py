@@ -48,6 +48,8 @@ def test_exit_codes(capsys, monkeypatch):
     assert code == EXIT_UNKNOWN_NAME and "unknown census name" in err
     code, _, err = run(capsys, "invariants", "PD[X[1,2,3]]")
     assert code == EXIT_PARSE
+    code, out, err = run(capsys, "invariants", "PD[X[3,2,1,1],X[4,2,4,3]]")
+    assert code == EXIT_PARSE and out == "" and "not a planar diagram" in err
     code, _, err = run(capsys, "--node-budget", "2", "invariants", "6_2")
     assert code == EXIT_BUDGET
     code, _, err = run(capsys, "--node-budget", "0", "invariants", "3_1")

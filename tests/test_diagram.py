@@ -49,18 +49,23 @@ def test_parse_errors():
     with pytest.raises(DiagramError):
         # A one-edge loop through a crossing's over strand: not planar.
         parse_pd("PD[X[1,2,1,2]]")
+    for code in ("PD[X[3,2,1,1],X[4,2,4,3]]", "PD[X[3,1,4,2],X[4,2,3,1]]"):
+        # Two crossings, four edges and two faces: V - E + F = 0, not 2.
+        with pytest.raises(DiagramError, match="not a planar diagram"):
+            parse_pd(code)
     with pytest.raises(DiagramError):
         parse_pd("notapd")
 
 
 def test_split_over_component_orientation_rule():
-    # Component {1, 2} is over at both of its crossings: a split unknot
-    # whose labels leave its direction open.  Edge 1, the lower label,
-    # enters the first crossing (at its over-in port).
-    d = parse_pd("PD[X[3,1,4,2],X[4,2,3,1]]")
-    assert d.signs == (1, 1) and d.incoming_at(1) == (0, 1)
+    # The positive Hopf link with crossing 0 switched: component {1, 2} is
+    # over at both of its crossings, a split unknot whose labels leave its
+    # direction open.  Edge 1, the lower label, enters the first crossing
+    # (at its over-in port).
+    d = parse_pd("PD[X[4,2,3,1],X[3,2,4,1]]")
+    assert d.signs == (-1, 1) and d.incoming_at(1) == (0, 3)
     assert d.components == ((1, 2), (3, 4))
-    reversed_reading = Diagram._trusted(d.crossings, (-1, -1), 0)
+    reversed_reading = Diagram._trusted(d.crossings, (1, -1), 0)
     assert parse_pd(reversed_reading.pd_text()) == d
     eng = SkeinEngine()
     assert eng.homfly(reversed_reading) == eng.homfly(d) == eng.homfly(Diagram.unlink(2))
@@ -199,8 +204,9 @@ def test_simplify():
     kink = parse_pd("PD[X[1,1,2,2]]")
     assert kink.simplify().num_crossings == 0
     assert kink.simplify().num_components == 1
-    # R2 pair presenting the 2-unlink.
-    r2 = parse_pd("PD[X[3,1,4,2],X[4,2,3,1]]")
+    # R2 pair presenting the 2-unlink: the positive Hopf link with one
+    # crossing switched.
+    r2 = parse_pd("PD[X[4,2,3,1],X[3,2,4,1]]")
     s = r2.simplify()
     assert s.num_crossings == 0 and s.free_loops == 2
     t = parse_pd(TREFOIL)

@@ -10,12 +10,14 @@ from clasptools.skein import SkeinEngine
 from clasptools.tangle import (
     ExtendedRational,
     MontesinosDesc,
+    closed_braid,
     closure,
     continued_fraction,
     evaluate_continued_fraction,
     horizontal_twists,
     montesinos_diagram,
     montesinos_equivalent,
+    pretzel_diagram,
     rational_tangle,
     theorem1_catalog,
     two_bridge_diagram,
@@ -268,3 +270,52 @@ def test_rational_tangle_boundary_and_zero():
     tinf = rational_tangle(ExtendedRational(1, 0))
     assert tinf.num_crossings == 0
     assert closure(tinf).num_components == 1
+
+
+def _clasped():
+    from clasptools.tangle import _emit, closure_tangle, insert_clasp, tangle_sum
+
+    t = closure_tangle(
+        tangle_sum(tangle_sum(vertical_twists(-2), vertical_twists(0)), vertical_twists(-2))
+    )
+    return _emit(insert_clasp(t, ("x", 0, 3), ("x", 2, 1), -1, flip=True))
+
+
+@pytest.mark.parametrize(
+    "build, text",
+    [
+        (
+            lambda: two_bridge_diagram(ExtendedRational(11, 4)),
+            "PD[X[1,10,2,11],X[3,8,4,9],X[4,12,5,11],X[6,14,7,13],X[9,2,10,3],"
+            "X[12,6,13,5],X[14,8,1,7]]",
+        ),
+        (
+            lambda: montesinos_diagram(MontesinosDesc.parse("1/2,-2/3,2/5")),
+            "PD[X[2,6,3,5],X[4,17,5,18],X[6,2,7,1],X[7,17,8,16],X[8,13,9,14],"
+            "X[10,15,11,16],X[12,20,13,19],X[14,9,15,10],X[18,3,19,4],X[20,12,1,11]]",
+        ),
+        (
+            lambda: pretzel_diagram(-2, 3, 5),
+            "PD[X[1,16,2,17],X[3,18,4,19],X[5,12,6,13],X[7,14,8,15],X[10,19,11,20],"
+            "X[11,4,12,5],X[13,6,14,7],X[15,8,16,9],X[17,2,18,3],X[20,9,1,10]]",
+        ),
+        (
+            lambda: closed_braid([1, -2, 1, -2], 3),
+            "PD[X[2,8,3,7],X[4,1,5,2],X[6,4,7,3],X[8,5,1,6]]",
+        ),
+        (
+            lambda: closed_braid([1, -2, 1, -2], 3, axis="over-first"),
+            "PD[X[2,12,3,11],X[3,19,4,18],X[6,1,7,2],X[7,15,8,20],X[10,6,11,5],"
+            "X[12,20,13,19],X[14,9,1,10],X[15,9,16,8],X[16,14,17,13],X[17,5,18,4]]",
+        ),
+        (
+            _clasped,
+            "PD[X[2,12,1,3],X[3,1,4,2],X[5,9,6,8],X[7,11,8,10],X[9,5,10,4],X[11,7,12,6]]",
+        ),
+    ],
+    ids=["two_bridge_11_4", "montesinos", "pretzel", "braid", "braid_axis", "clasp"],
+)
+def test_tangle_pd_text_pinned(build, text):
+    # Crossing numbers follow construction order, so this text pins the
+    # gluing order, the slot convention and the component walk.
+    assert build().pd_text() == text
