@@ -206,7 +206,8 @@ def typeX_sum_of_squares_search(
     if hit is not None:
         f1, f2 = hit
         check = (f1 * f1).shift(0, 0, eps1) + (f2 * f2).shift(0, 0, eps2)
-        assert check == r, "witness verification failed"
+        if check != r:
+            raise RuntimeError("witness verification failed")
         return SquareSearchResult("found", "", f1, f2)
     if searcher.exhausted_cap:
         return SquareSearchResult("inconclusive", "search node cap exhausted")

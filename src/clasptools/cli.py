@@ -26,7 +26,7 @@ from .clasp import (
     typeX_parity_obstruction,
 )
 from .diagram import DiagramError, parse_pd
-from .openbook import ClassifyBudgets, OpenBookTriple, classify_triple, s3_openbook_report
+from .openbook import OpenBookTriple, classify_triple, s3_openbook_report
 from .skein import BudgetExceededError, SkeinEngine
 from .tangle import MontesinosDesc, montesinos_diagram, theorem1_catalog
 
@@ -160,10 +160,9 @@ def cmd_catalog(args, cfg):
 
 
 def cmd_openbook(args, cfg):
-    budgets = ClassifyBudgets(max_cosets=cfg["max-cosets"])
     if args.triple:
         a, b, c = (int(x) for x in args.triple.split(","))
-        v = classify_triple(OpenBookTriple(a, b, c), budgets)
+        v = classify_triple(OpenBookTriple(a, b, c), cfg["max-cosets"])
         print(json.dumps({
             "triple": v.triple,
             "normalized": v.normalized,
@@ -171,8 +170,8 @@ def cmd_openbook(args, cfg):
             "certificate": v.certificate,
         }, indent=2))
         return EXIT_OK
-    rows = s3_openbook_report(args.scan, budgets)
-    print(json.dumps(rows, indent=2, default=str))
+    rows = s3_openbook_report(args.scan, cfg["max-cosets"])
+    print(json.dumps(rows, indent=2))
     return EXIT_OK
 
 

@@ -5,12 +5,13 @@ T1^a T2^b T3^c, and the resulting closed 3-manifold has
 
     pi1 = < x, y | (xy)^a x^b, (xy)^a y^c >.
 
-This module decides triviality of that group: the abelianization order
-falls out of a Smith normal form, Todd-Coxeter coset enumeration settles
-the finite cases, and an exhaustive homomorphism search into small
-symmetric and cyclic groups certifies nontriviality when enumeration is
-cut off.  Every verdict carries a certificate; `inconclusive` is an
-honest possible outcome, never silently converted.
+This module decides triviality of that group with three certificates:
+the order of H1 is the determinant of the 2x2 exponent-sum matrix,
+Todd-Coxeter coset enumeration settles the finite cases, and an
+exhaustive search for a nontrivial map into S3, S4 or S5 certifies
+nontriviality when enumeration is cut off.  Every verdict carries a
+certificate; `inconclusive` is an honest possible outcome, never
+silently converted.
 """
 
 from __future__ import annotations
@@ -41,24 +42,14 @@ def power(word: Sequence[int], n: int) -> Word:
 
 @dataclass(frozen=True)
 class Presentation:
-    """A two-generator presentation with freely reduced relators."""
+    """A presentation on x, y with freely reduced relators."""
 
     relators: Tuple[Word, ...]
-    num_generators: int = 2
 
     def __post_init__(self):
         object.__setattr__(
             self, "relators", tuple(free_reduce(r) for r in self.relators)
         )
-
-    def exponent_matrix(self) -> List[List[int]]:
-        rows = []
-        for rel in self.relators:
-            row = [0] * self.num_generators
-            for g in rel:
-                row[abs(g) - 1] += 1 if g > 0 else -1
-            rows.append(row)
-        return rows
 
 
 @dataclass(frozen=True)
@@ -83,78 +74,19 @@ def pi1_presentation(t: OpenBookTriple) -> Presentation:
     return Presentation((r1, r2))
 
 
-# -- abelianization via Smith normal form ------------------------------------
-
-def smith_invariant_factors(matrix: Sequence[Sequence[int]]) -> List[int]:
-    """Nonnegative invariant factors d1 | d2 | ... of an integer matrix."""
-    m = [list(row) for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    out: List[int] = []
-    top = 0
-    while top < min(rows, cols):
-        # Find a nonzero pivot of minimal absolute value.
-        piv = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if m[i][j] and (piv is None or abs(m[i][j]) < abs(m[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        i, j = piv
-        m[top], m[i] = m[i], m[top]
-        for r in m:
-            r[top], r[j] = r[j], r[top]
-        p = m[top][top]
-        dirty = False
-        for i in range(top + 1, rows):
-            q = m[i][top] // p
-            if q:
-                for j in range(top, cols):
-                    m[i][j] -= q * m[top][j]
-            if m[i][top]:
-                dirty = True
-        for j in range(top + 1, cols):
-            q = m[top][j] // p
-            if q:
-                for i in range(top, rows):
-                    m[i][j] -= q * m[i][top]
-            if m[top][j]:
-                dirty = True
-        if dirty:
-            continue  # smaller remainders appeared; pick a new pivot
-        # Divisibility condition: pivot must divide everything below-right;
-        # if not, fold the offending row into the pivot row and redo.
-        bad = False
-        for i in range(top + 1, rows):
-            if any(m[i][j] % p for j in range(top + 1, cols)):
-                for j in range(top, cols):
-                    m[top][j] += m[i][j]
-                bad = True
-                break
-        if bad:
-            continue
-        out.append(abs(p))
-        top += 1
-    while len(out) < min(rows, cols):
-        out.append(0)
-    return out
-
-
 def abelianization_order(p: Presentation) -> int:
-    """Order of H1 (0 means infinite), from the Smith normal form."""
-    mat = p.exponent_matrix()
-    if not mat:
-        return 0
-    factors = smith_invariant_factors(mat)
-    if len(factors) < p.num_generators:
-        return 0
-    order = 1
-    for d in factors:
-        if d == 0:
-            return 0
-        order *= d
-    return order
+    """Order of H1 (0 means infinite): |det| of the exponent-sum matrix.
+
+    H1 is Z^2 modulo the rows (exponent sum of x, of y) of the two
+    relators, and a 2x2 integer matrix has a cokernel of order |det|.
+    """
+    if len(p.relators) != 2:
+        raise ValueError("H1 as a determinant needs exactly two relators")
+    (x1, y1), (x2, y2) = (
+        [sum((g > 0) - (g < 0) for g in rel if abs(g) == k) for k in (1, 2)]
+        for rel in p.relators
+    )
+    return abs(x1 * y2 - x2 * y1)
 
 
 # -- Todd-Coxeter coset enumeration ------------------------------------------
@@ -169,7 +101,7 @@ def todd_coxeter(p: Presentation, max_cosets: int = 20000) -> Optional[int]:
     Enumerates cosets of the trivial subgroup with the classic
     union-find/scan strategy; deterministic for a fixed presentation.
     """
-    ngens = 2 * p.num_generators  # x, X, y, Y columns
+    ngens = 4  # x, X, y, Y columns
     rels = []
     for rel in p.relators:
         rels.append(tuple((abs(g) - 1) * 2 + (0 if g > 0 else 1) for g in rel))
@@ -260,59 +192,34 @@ def _perm_inv(p):
 
 
 def _word_image(word: Word, imgs: Dict[int, tuple]) -> tuple:
-    n = len(next(iter(imgs.values())))
-    acc = tuple(range(n))
+    acc = tuple(range(len(imgs[1])))
     for g in word:
-        m = imgs[abs(g)]
-        if g < 0:
-            m = _perm_inv(m)
-        acc = _perm_mul(acc, m)
+        acc = _perm_mul(acc, imgs[g])
     return acc
 
 
-@dataclass(frozen=True)
-class HomWitness:
-    target: str
-    image_x: tuple
-    image_y: tuple
+def nontriviality_witness(p: Presentation) -> Optional[Dict[str, object]]:
+    """A nontrivial map into S3, S4 or S5 as a certificate, or None.
 
-
-def nontriviality_witness(p: Presentation, max_target_order: int = 120) -> Optional[HomWitness]:
-    """A surjection onto a nontrivial finite group, if one is found.
-
-    Targets: cyclic groups Z/n (n <= max_target_order) by exponent sums,
-    then S3, S4, S5 by exhaustive generator assignment.
+    Tries every pair of images for x and y, S3 first, and returns the
+    first pair that kills every relator and is not both the identity.
     """
-    # Every map onto Z/n factors through H1, so none exists when H1 = 1.
-    if abelianization_order(p) != 1:
-        mat = p.exponent_matrix()
-        for n in range(2, max_target_order + 1):
-            for ux in range(n):
-                for uy in range(n):
-                    if ux == 0 and uy == 0:
-                        continue
-                    if all((row[0] * ux + row[1] * uy) % n == 0 for row in mat):
-                        return HomWitness(f"Z/{n}", (ux,), (uy,))
     for deg in (3, 4, 5):
         elems = list(permutations(range(deg)))
+        inv = {e: _perm_inv(e) for e in elems}
         ident = tuple(range(deg))
         for ix in elems:
             for iy in elems:
                 if ix == ident and iy == ident:
                     continue
-                imgs = {1: ix, 2: iy}
+                imgs = {1: ix, -1: inv[ix], 2: iy, -2: inv[iy]}
                 if all(_word_image(r, imgs) == ident for r in p.relators):
-                    return HomWitness(f"S{deg}", ix, iy)
+                    return {"method": "homomorphism", "target": f"S{deg}",
+                            "image_x": ix, "image_y": iy}
     return None
 
 
 # -- classification -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class ClassifyBudgets:
-    max_cosets: int = 20000
-    max_target_order: int = 120
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -322,74 +229,62 @@ class Verdict:
     certificate: Dict[str, object] = field(default_factory=dict)
 
 
-def classify_triple(t: OpenBookTriple, budgets: ClassifyBudgets = ClassifyBudgets()) -> Verdict:
+def _decide(pres: Presentation, max_cosets: int) -> Tuple[str, Dict[str, object]]:
+    h1 = abelianization_order(pres)
+    if h1 != 1:
+        return "nontrivial-pi1", {"method": "abelianization", "h1_order": h1}
+    order = todd_coxeter(pres, max_cosets)
+    if order is not None:
+        verdict = "trivial-pi1" if order == 1 else "nontrivial-pi1"
+        return verdict, {"method": "todd-coxeter", "group_order": order}
+    witness = nontriviality_witness(pres)
+    if witness is not None:
+        return "nontrivial-pi1", witness
+    return "inconclusive", {"method": "exhausted", "max_cosets": max_cosets}
+
+
+def classify_triple(t: OpenBookTriple, max_cosets: int = 20000) -> Verdict:
     """Decide whether pi1 of the (a, b, c) pants open book is trivial.
 
     Normalizes by the boundary-relabeling symmetry (sort by magnitude),
-    then: nontrivial abelianization => nontrivial; else Todd-Coxeter; if
-    that exhausts, a homomorphism witness; else inconclusive.
+    then: nontrivial abelianization => nontrivial; else Todd-Coxeter with
+    at most max_cosets cosets; if that exhausts, a homomorphism witness;
+    else inconclusive.
     """
     norm = t.sorted_by_magnitude()
-    pres = pi1_presentation(norm)
-    h1 = abelianization_order(pres)
-    if h1 != 1:
-        return Verdict(
-            t.as_tuple(), norm.as_tuple(), "nontrivial-pi1",
-            {"method": "abelianization", "h1_order": h1},
-        )
-    order = todd_coxeter(pres, budgets.max_cosets)
-    if order is not None:
-        verdict = "trivial-pi1" if order == 1 else "nontrivial-pi1"
-        return Verdict(
-            t.as_tuple(), norm.as_tuple(), verdict,
-            {"method": "todd-coxeter", "group_order": order},
-        )
-    witness = nontriviality_witness(pres, budgets.max_target_order)
-    if witness is not None:
-        return Verdict(
-            t.as_tuple(), norm.as_tuple(), "nontrivial-pi1",
-            {"method": "homomorphism", "target": witness.target,
-             "image_x": witness.image_x, "image_y": witness.image_y},
-        )
-    return Verdict(
-        t.as_tuple(), norm.as_tuple(), "inconclusive",
-        {"method": "exhausted", "max_cosets": budgets.max_cosets,
-         "max_target_order": budgets.max_target_order},
-    )
+    verdict, cert = _decide(pi1_presentation(norm), max_cosets)
+    return Verdict(t.as_tuple(), norm.as_tuple(), verdict, cert)
+
+
+def _trivial_link_name(triple: Tuple[int, int, int]) -> Optional[str]:
+    """Fibered link of a triple on the known trivial-pi1 list, else None.
+
+    The list, as multisets: {0, +-1, +-1}, the (1, -1, n) family,
+    (-1, 2, 3) and (-3, -2, 1).
+    """
+    ms = sorted(triple)
+    if sorted(map(abs, ms)) == [0, 1, 1]:
+        tags = {(-1, -1): "H-#H-", (-1, 1): "H-#H+", (1, 1): "H+#H+"}
+        return tags[tuple(s for s in ms if s)]
+    if 1 in ms and -1 in ms:
+        return f"P(2,{-2 * sum(ms)},-2)"  # the sum is the third entry n
+    return {(-1, 2, 3): "L^ex", (-3, -2, 1): "mirror(L^ex)"}.get(tuple(ms))
 
 
 def classified_trivial_set(triple: Tuple[int, int, int]) -> bool:
     """Membership in the known trivial-pi1 list (compared as multisets)."""
-    ms = sorted(triple)
-    if sorted(map(abs, triple))[0] == 0:
-        return sorted(map(abs, triple)) in ([0, 1, 1],)
-    if 1 in ms and -1 in ms:
-        return True  # (-1, 1, n) and (1, -1, n) families
-    return ms in ([-1, 2, 3], [-3, -2, 1])
+    return _trivial_link_name(triple) is not None
 
 
 def s3_fibered_link_name(triple: Tuple[int, int, int]) -> str:
     """Fibered link realizing a trivial triple, per the case analysis."""
-    ms = sorted(triple)
-    abss = sorted(map(abs, triple))
-    if abss == [0, 1, 1]:
-        signs = sorted(s for s in triple if s != 0)
-        tags = {(-1, -1): "H-#H-", (-1, 1): "H-#H+", (1, 1): "H+#H+"}
-        return tags[tuple(signs)]
-    if 1 in ms and -1 in ms:
-        rest = list(triple)
-        rest.remove(1)
-        rest.remove(-1)
-        n = rest[0]
-        return f"P(2,{-2 * n},-2)"
-    if ms == [-1, 2, 3]:
-        return "L^ex"
-    if ms == [-3, -2, 1]:
-        return "mirror(L^ex)"
-    raise ValueError(f"{triple} is not in the trivial list")
+    name = _trivial_link_name(triple)
+    if name is None:
+        raise ValueError(f"{triple} is not in the trivial list")
+    return name
 
 
-def s3_openbook_report(bound: int, budgets: ClassifyBudgets = ClassifyBudgets()) -> List[dict]:
+def s3_openbook_report(bound: int, max_cosets: int = 20000) -> List[dict]:
     """Classify all |a| <= |b| <= |c| <= bound and name the trivial bindings."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -399,7 +294,7 @@ def s3_openbook_report(bound: int, budgets: ClassifyBudgets = ClassifyBudgets())
             for c in range(-bound, bound + 1):
                 if not (abs(a) <= abs(b) <= abs(c)):
                     continue
-                v = classify_triple(OpenBookTriple(a, b, c), budgets)
+                v = classify_triple(OpenBookTriple(a, b, c), max_cosets)
                 row = {
                     "triple": (a, b, c),
                     "verdict": v.verdict,

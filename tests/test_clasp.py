@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clasptools import clasp
 from clasptools.clasp import (
     TYPE_II,
     TYPE_X,
@@ -160,6 +161,14 @@ def test_sum_of_squares_examples():
     assert (r.f1 * r.f1) + (r.f2 * r.f2) == P("2*v^4")
     r = typeX_sum_of_squares_search(P("1*v^2 + 1"), 1, 1, 3, 8)
     assert r.status == "refuted"
+
+
+def test_sum_of_squares_rejects_a_wrong_pair(monkeypatch):
+    # The found pair is re-checked explicitly, so the check survives -O.
+    wrong = (P("1*v^2"), LaurentPoly.zero())
+    monkeypatch.setattr(clasp._SquareSearcher, "run", lambda self, r: wrong)
+    with pytest.raises(RuntimeError):
+        typeX_sum_of_squares_search(P("1*v^4"), 1, 1, 3, 8)
 
 
 def _brute_square_pairs(r, e1, e2, D, C):
