@@ -161,7 +161,10 @@ def cmd_catalog(args, cfg):
 
 def cmd_openbook(args, cfg):
     if args.triple:
-        a, b, c = (int(x) for x in args.triple.split(","))
+        try:
+            a, b, c = (int(x) for x in args.triple.split(","))
+        except ValueError:
+            raise ValueError("--triple takes three integers a,b,c") from None
         v = classify_triple(OpenBookTriple(a, b, c), cfg["max-cosets"])
         print(json.dumps({
             "triple": v.triple,

@@ -12,11 +12,16 @@ exhaustive search for a nontrivial map into S3, S4 or S5 certifies
 nontriviality when enumeration is cut off.  Every verdict carries a
 certificate; `inconclusive` is an honest possible outcome, never
 silently converted.
+
+The search tries one x image per cycle type and every y image.  A pair
+conjugated by any permutation still kills the relators, so it returns the
+first pair of the all-pairs search (S5: 7 x 120 pairs, not 120 x 120).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -95,12 +100,19 @@ class CosetTableExhausted(Exception):
     pass
 
 
+def _check_max_cosets(max_cosets: int) -> None:
+    if max_cosets < 1:
+        raise ValueError(f"max_cosets must be >= 1, got {max_cosets}")
+
+
 def todd_coxeter(p: Presentation, max_cosets: int = 20000) -> Optional[int]:
     """Order of the presented group, or None when max_cosets is exhausted.
 
     Enumerates cosets of the trivial subgroup with the classic
     union-find/scan strategy; deterministic for a fixed presentation.
+    Raises ValueError when max_cosets < 1.
     """
+    _check_max_cosets(max_cosets)
     ngens = 4  # x, X, y, Y columns
     rels = []
     for rel in p.relators:
@@ -181,39 +193,63 @@ def todd_coxeter(p: Presentation, max_cosets: int = 20000) -> Optional[int]:
 
 # -- homomorphism witnesses ---------------------------------------------------
 
-def _perm_mul(p, q):
-    return tuple(p[q[i]] for i in range(len(p)))
+@lru_cache(maxsize=None)
+def _search_space(deg: int):
+    """Permutations of range(deg) in order, their inverses, and the x images.
 
-def _perm_inv(p):
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
+    The x images are the permutations that come first of their cycle type,
+    that is of their conjugacy class, in `permutations(range(deg))` order.
+    """
+    elems = list(permutations(range(deg)))
+    inv = {}
+    firsts: Dict[Tuple[int, ...], tuple] = {}
+    for e in elems:
+        inv[e] = tuple(sorted(range(deg), key=e.__getitem__))
+        lengths, seen = [], set()
+        for i in range(deg):
+            n = 0
+            while i not in seen:
+                seen.add(i)
+                i = e[i]
+                n += 1
+            if n:
+                lengths.append(n)
+        firsts.setdefault(tuple(sorted(lengths)), e)
+    return tuple(elems), inv, tuple(firsts.values())
 
 
-def _word_image(word: Word, imgs: Dict[int, tuple]) -> tuple:
-    acc = tuple(range(len(imgs[1])))
-    for g in word:
-        acc = _perm_mul(acc, imgs[g])
-    return acc
+def _kills(word: Word, maps: Dict[int, tuple], deg: int) -> bool:
+    """Whether the letters of `word`, applied last letter first, fix every point."""
+    for i in range(deg):
+        j = i
+        for g in reversed(word):
+            j = maps[g][j]
+        if j != i:
+            return False
+    return True
 
 
 def nontriviality_witness(p: Presentation) -> Optional[Dict[str, object]]:
     """A nontrivial map into S3, S4 or S5 as a certificate, or None.
 
-    Tries every pair of images for x and y, S3 first, and returns the
-    first pair that kills every relator and is not both the identity.
+    Returns the first pair of images for x and y, S3 first and then in
+    `permutations` order with x outer, that kills every relator and is not
+    both the identity.  Only an x that comes first of its cycle type is
+    tried: conjugating a pair gives another pair with the same property, so
+    the first x with any partner is the first of its conjugacy class, and
+    for that x every y is tried in order.  A relator dies when every
+    point, chased through its letters last letter first, comes back to
+    itself.
     """
     for deg in (3, 4, 5):
-        elems = list(permutations(range(deg)))
-        inv = {e: _perm_inv(e) for e in elems}
-        ident = tuple(range(deg))
-        for ix in elems:
+        elems, inv, xs = _search_space(deg)
+        ident = elems[0]
+        for ix in xs:
             for iy in elems:
                 if ix == ident and iy == ident:
                     continue
-                imgs = {1: ix, -1: inv[ix], 2: iy, -2: inv[iy]}
-                if all(_word_image(r, imgs) == ident for r in p.relators):
+                maps = {1: ix, -1: inv[ix], 2: iy, -2: inv[iy]}
+                if all(_kills(r, maps, deg) for r in p.relators):
                     return {"method": "homomorphism", "target": f"S{deg}",
                             "image_x": ix, "image_y": iy}
     return None
@@ -249,8 +285,9 @@ def classify_triple(t: OpenBookTriple, max_cosets: int = 20000) -> Verdict:
     Normalizes by the boundary-relabeling symmetry (sort by magnitude),
     then: nontrivial abelianization => nontrivial; else Todd-Coxeter with
     at most max_cosets cosets; if that exhausts, a homomorphism witness;
-    else inconclusive.
+    else inconclusive.  Raises ValueError when max_cosets < 1.
     """
+    _check_max_cosets(max_cosets)
     norm = t.sorted_by_magnitude()
     verdict, cert = _decide(pi1_presentation(norm), max_cosets)
     return Verdict(t.as_tuple(), norm.as_tuple(), verdict, cert)
@@ -285,7 +322,11 @@ def s3_fibered_link_name(triple: Tuple[int, int, int]) -> str:
 
 
 def s3_openbook_report(bound: int, max_cosets: int = 20000) -> List[dict]:
-    """Classify all |a| <= |b| <= |c| <= bound and name the trivial bindings."""
+    """Classify all |a| <= |b| <= |c| <= bound and name the trivial bindings.
+
+    Raises ValueError when bound < 1 or, through classify_triple, when
+    max_cosets < 1.
+    """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     rows = []

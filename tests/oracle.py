@@ -11,7 +11,8 @@ It also keeps the brute-force canonical code, the minimum over every
 relabeling, as the reference for the traversal code in ``Diagram``, and
 the restart scan (R1 scan, else R2 scan, from the lowest crossing after
 every move) as the reference for the one-pass move finder of
-``Diagram.simplify``.
+``Diagram.simplify``, and the all-pairs S3-S5 search as the reference for
+the open-book witness search, which tries one x image per cycle type.
 """
 
 from itertools import permutations, product
@@ -201,3 +202,43 @@ def _try_r2(b, j, k, e, f) -> bool:
     for x, y in joins:
         b.splice(x, y)
     return True
+
+
+# -- open-book witnesses: every pair of images ---------------------------------
+
+def _perm_mul(p, q):
+    return tuple(p[q[i]] for i in range(len(p)))
+
+def _perm_inv(p):
+    out = [0] * len(p)
+    for i, v in enumerate(p):
+        out[v] = i
+    return tuple(out)
+
+
+def _word_image(word, imgs):
+    acc = tuple(range(len(imgs[1])))
+    for g in word:
+        acc = _perm_mul(acc, imgs[g])
+    return acc
+
+
+def nontriviality_witness_all_pairs(p):
+    """A nontrivial map into S3, S4 or S5 as a certificate, or None.
+
+    Tries every pair of images for x and y, S3 first, and returns the
+    first pair that kills every relator and is not both the identity.
+    """
+    for deg in (3, 4, 5):
+        elems = list(permutations(range(deg)))
+        inv = {e: _perm_inv(e) for e in elems}
+        ident = tuple(range(deg))
+        for ix in elems:
+            for iy in elems:
+                if ix == ident and iy == ident:
+                    continue
+                imgs = {1: ix, -1: inv[ix], 2: iy, -2: inv[iy]}
+                if all(_word_image(r, imgs) == ident for r in p.relators):
+                    return {"method": "homomorphism", "target": f"S{deg}",
+                            "image_x": ix, "image_y": iy}
+    return None

@@ -43,7 +43,7 @@ def test_invariants_deterministic(capsys):
     assert len(outs) == 1
 
 
-def test_exit_codes(capsys, monkeypatch):
+def test_exit_codes(capsys, monkeypatch, tmp_path):
     code, _, err = run(capsys, "invariants", "nosuchknot")
     assert code == EXIT_UNKNOWN_NAME and "unknown census name" in err
     code, _, err = run(capsys, "invariants", "PD[X[1,2,3]]")
@@ -56,6 +56,16 @@ def test_exit_codes(capsys, monkeypatch):
     assert code == EXIT_BUDGET and "exceeded 0 nodes" in err
     code, _, err = run(capsys, "corollary12")
     assert code == EXIT_ERROR and "missing required entries" in err
+    cfg = tmp_path / "clasptools.cfg"
+    cfg.write_text("max-cosets=-5\n")
+    for mode in ("--triple=-3,5,7", "--scan=1"):
+        code, out, err = run(capsys, "--config", str(cfg), "openbook", mode)
+        assert code == EXIT_ERROR and out == ""
+        assert "max_cosets must be >= 1, got -5" in err
+    for triple in ("1,2", "1,2,3,4", "a,b,c"):
+        code, out, err = run(capsys, "openbook", f"--triple={triple}")
+        assert code == EXIT_ERROR and out == ""
+        assert err == "error: --triple takes three integers a,b,c\n"
     with pytest.raises(SystemExit) as exc:
         main(["--jobs=2", "invariants", "3_1"])
     assert exc.value.code == 2

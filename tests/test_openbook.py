@@ -16,6 +16,8 @@ from clasptools.openbook import (
     todd_coxeter,
 )
 
+from oracle import nontriviality_witness_all_pairs
+
 
 def test_pi1_presentation_examples():
     assert pi1_presentation(OpenBookTriple(0, 1, 1)).relators == ((1,), (2,))
@@ -81,6 +83,43 @@ def test_nontriviality_witness():
     assert (w["method"], w["target"]) == ("homomorphism", "S3")
     assert sorted(w["image_x"]) == sorted(w["image_y"]) == [0, 1, 2]
     assert nontriviality_witness(Presentation(((1,), (2,)))) is None
+
+
+_WORDS = st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=14)
+
+# Every triple with |a| <= |b| <= |c| <= 8 and H1 = 1: trivial groups and
+# those with no small witness run the whole search, the rest stop early.
+_H1_TRIVIAL_TRIPLES = [
+    (a, b, c)
+    for c in range(-8, 9)
+    for b in range(-abs(c), abs(c) + 1)
+    for a in range(-abs(b), abs(b) + 1)
+    if abelianization_order(pi1_presentation(OpenBookTriple(a, b, c))) == 1
+]
+
+
+@given(st.one_of(
+    st.tuples(_WORDS, _WORDS).map(Presentation),
+    st.sampled_from(_H1_TRIVIAL_TRIPLES).map(
+        lambda t: pi1_presentation(OpenBookTriple(*t))),
+))
+@settings(max_examples=50, deadline=None)
+def test_witness_matches_all_pairs(p):
+    assert nontriviality_witness(p) == nontriviality_witness_all_pairs(p)
+
+
+def test_max_cosets_must_be_positive():
+    p = pi1_presentation(OpenBookTriple(-3, 5, 7))
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="max_cosets must be >= 1"):
+            todd_coxeter(p, bad)
+        with pytest.raises(ValueError, match="max_cosets must be >= 1"):
+            classify_triple(OpenBookTriple(-3, 5, 7), bad)
+        # H1 alone would decide (0, 2, 2); the budget is still checked.
+        with pytest.raises(ValueError, match="max_cosets must be >= 1"):
+            classify_triple(OpenBookTriple(0, 2, 2), bad)
+        with pytest.raises(ValueError, match="max_cosets must be >= 1"):
+            s3_openbook_report(1, bad)
 
 
 def test_classify_examples():
@@ -178,4 +217,11 @@ def test_scan8_certificates():
     trivial = {r["triple"] for r in rows if r["verdict"] == "trivial-pi1"}
     assert trivial == {r["triple"] for r in rows if classified_trivial_set(r["triple"])}
     assert sorted(by_method["homomorphism"]) == [(-3, 5, 8), (3, -5, -8)]
+    # The first pair of the search, as the all-pairs search found it.
+    for r in rows:
+        if r["triple"] in ((-3, 5, 8), (3, -5, -8)):
+            cert = r["certificate"]
+            assert cert["target"] == "S5"
+            assert cert["image_x"] == (1, 2, 3, 4, 0)
+            assert cert["image_y"] == (0, 2, 1, 4, 3)
     assert sorted(by_method["exhausted"]) == [(-3, 5, 7), (-2, 3, 7), (2, -3, -7), (3, -5, -7)]
