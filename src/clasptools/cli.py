@@ -54,7 +54,11 @@ DEFAULTS = {
 def _load_config(path):
     cfg = dict(DEFAULTS)
     if path:
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        try:
+            text = Path(path).read_text()
+        except OSError as e:
+            raise ValueError(f"cannot read config {path}: {e.strerror or e}") from None
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -63,7 +67,15 @@ def _load_config(path):
             key, value = (s.strip() for s in line.split("=", 1))
             if key not in cfg:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            cfg[key] = value if key in ("census", "exceptional") else int(value)
+            if key in ("census", "exceptional"):
+                cfg[key] = value
+                continue
+            try:
+                cfg[key] = int(value)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: {key} needs an integer, got {value!r}"
+                ) from None
     return cfg
 
 

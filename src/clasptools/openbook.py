@@ -13,6 +13,15 @@ nontriviality when enumeration is cut off.  Every verdict carries a
 certificate; `inconclusive` is an honest possible outcome, never
 silently converted.
 
+Coset enumeration is skipped where it cannot finish.  Adding x^b to the
+relators gives the von Dyck group D(|b|, |c|, |a|) = < x, y | x^b, y^c,
+(xy)^a >, so pi1 maps onto it.  That group is infinite when its three
+orders p <= q <= r have p >= 2 and 1/p + 1/q + 1/r <= 1 (Coxeter & Moser,
+*Generators and Relations for Discrete Groups*, ch. 4), so pi1 is
+infinite and no budget lets the coset table close.  Those triples go
+straight to the witness search and keep the `exhausted` certificate
+they would get after a run, so every output is unchanged.
+
 The search tries one x image per cycle type and every y image.  A pair
 conjugated by any permutation still kills the relators, so it returns the
 first pair of the all-pairs search (S5: 7 x 120 pairs, not 120 x 120).
@@ -265,14 +274,31 @@ class Verdict:
     certificate: Dict[str, object] = field(default_factory=dict)
 
 
-def _decide(pres: Presentation, max_cosets: int) -> Tuple[str, Dict[str, object]]:
+def _von_dyck_infinite(t: OpenBookTriple) -> bool:
+    """Whether D(|a|, |b|, |c|), a quotient of pi1, is infinite.
+
+    With the orders sorted into p <= q <= r: p >= 2 and
+    1/p + 1/q + 1/r <= 1, tested as qr + pr + pq <= pqr.
+    """
+    p, q, r = sorted(abs(n) for n in t.as_tuple())
+    return p >= 2 and q * r + p * r + p * q <= p * q * r
+
+
+def _decide(t: OpenBookTriple, max_cosets: int) -> Tuple[str, Dict[str, object]]:
+    """Verdict and certificate for a normalized triple.
+
+    H1 first; then Todd-Coxeter, unless the von Dyck quotient is infinite,
+    where no run within any budget could finish; then a witness.
+    """
+    pres = pi1_presentation(t)
     h1 = abelianization_order(pres)
     if h1 != 1:
         return "nontrivial-pi1", {"method": "abelianization", "h1_order": h1}
-    order = todd_coxeter(pres, max_cosets)
-    if order is not None:
-        verdict = "trivial-pi1" if order == 1 else "nontrivial-pi1"
-        return verdict, {"method": "todd-coxeter", "group_order": order}
+    if not _von_dyck_infinite(t):
+        order = todd_coxeter(pres, max_cosets)
+        if order is not None:
+            verdict = "trivial-pi1" if order == 1 else "nontrivial-pi1"
+            return verdict, {"method": "todd-coxeter", "group_order": order}
     witness = nontriviality_witness(pres)
     if witness is not None:
         return "nontrivial-pi1", witness
@@ -285,11 +311,14 @@ def classify_triple(t: OpenBookTriple, max_cosets: int = 20000) -> Verdict:
     Normalizes by the boundary-relabeling symmetry (sort by magnitude),
     then: nontrivial abelianization => nontrivial; else Todd-Coxeter with
     at most max_cosets cosets; if that exhausts, a homomorphism witness;
-    else inconclusive.  Raises ValueError when max_cosets < 1.
+    else inconclusive.  Triples whose von Dyck quotient is infinite skip
+    Todd-Coxeter, which would exhaust any budget on them, so they get the
+    same witness or `exhausted` certificate as before.  Raises ValueError
+    when max_cosets < 1.
     """
     _check_max_cosets(max_cosets)
     norm = t.sorted_by_magnitude()
-    verdict, cert = _decide(pi1_presentation(norm), max_cosets)
+    verdict, cert = _decide(norm, max_cosets)
     return Verdict(t.as_tuple(), norm.as_tuple(), verdict, cert)
 
 

@@ -39,6 +39,7 @@ class SkeinEngine:
 
     ``max_nodes`` bounds the skein nodes of each query, one top-level
     ``homfly`` call; ``nodes_used`` counts every node the engine visited.
+    Either limit below 0 raises ValueError.
 
     An engine belongs to one thread: the LRU memo is not locked, and a
     lookup racing with an eviction from another thread can fail.  Give
@@ -46,6 +47,9 @@ class SkeinEngine:
     """
 
     def __init__(self, max_nodes: int = 10_000_000, memo_capacity: int = 1 << 20):
+        for name, value in (("max_nodes", max_nodes), ("memo_capacity", memo_capacity)):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         self.max_nodes = max_nodes
         self.memo_capacity = memo_capacity
         self.nodes_used = 0

@@ -54,6 +54,13 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     assert code == EXIT_BUDGET
     code, _, err = run(capsys, "--node-budget", "0", "invariants", "3_1")
     assert code == EXIT_BUDGET and "exceeded 0 nodes" in err
+    code, out, err = run(capsys, "--node-budget", "-3", "invariants", "3_1")
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: max_nodes must be >= 0, got -3\n"
+    missing = tmp_path / "nonexistent.cfg"
+    code, out, err = run(capsys, "--config", str(missing), "openbook", "--triple=1,2,3")
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith(f"error: cannot read config {missing}: ")
     code, _, err = run(capsys, "corollary12")
     assert code == EXIT_ERROR and "missing required entries" in err
     cfg = tmp_path / "clasptools.cfg"
@@ -131,6 +138,18 @@ def test_config_file(tmp_path, capsys):
     code, _, _ = run(capsys, "--config", str(cfg), "--node-budget", "10000000",
                      "invariants", "6_2")
     assert code == EXIT_OK
+
+
+def test_config_rejects_non_integer_values(tmp_path, capsys):
+    cfg = tmp_path / "clasptools.cfg"
+    cfg.write_text("# limits\nbound=abc\n")
+    code, out, err = run(capsys, "--config", str(cfg), "clasp-obstruct", "--a2", "2", "--a4", "1")
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"error: {cfg}:2: bound needs an integer, got 'abc'\n"
+    cfg.write_text("memo-capacity=-1\n")
+    code, out, err = run(capsys, "--config", str(cfg), "invariants", "3_1")
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: memo_capacity must be >= 0, got -1\n"
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):

@@ -1,9 +1,12 @@
+from itertools import permutations, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clasptools.openbook import (
     OpenBookTriple,
+    _von_dyck_infinite,
     Presentation,
     abelianization_order,
     classify_triple,
@@ -85,17 +88,21 @@ def test_nontriviality_witness():
     assert nontriviality_witness(Presentation(((1,), (2,)))) is None
 
 
+def _h1_trivial_triples(bound):
+    return [
+        (a, b, c)
+        for c in range(-bound, bound + 1)
+        for b in range(-abs(c), abs(c) + 1)
+        for a in range(-abs(b), abs(b) + 1)
+        if abelianization_order(pi1_presentation(OpenBookTriple(a, b, c))) == 1
+    ]
+
+
 _WORDS = st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=14)
 
 # Every triple with |a| <= |b| <= |c| <= 8 and H1 = 1: trivial groups and
 # those with no small witness run the whole search, the rest stop early.
-_H1_TRIVIAL_TRIPLES = [
-    (a, b, c)
-    for c in range(-8, 9)
-    for b in range(-abs(c), abs(c) + 1)
-    for a in range(-abs(b), abs(b) + 1)
-    if abelianization_order(pi1_presentation(OpenBookTriple(a, b, c))) == 1
-]
+_H1_TRIVIAL_TRIPLES = _h1_trivial_triples(8)
 
 
 @given(st.one_of(
@@ -106,6 +113,34 @@ _H1_TRIVIAL_TRIPLES = [
 @settings(max_examples=50, deadline=None)
 def test_witness_matches_all_pairs(p):
     assert nontriviality_witness(p) == nontriviality_witness_all_pairs(p)
+
+
+def test_von_dyck_rule_cases():
+    # Euclidean boundary, 1/p + 1/q + 1/r = 1: infinite, skipped.
+    for t in ((2, 3, 6), (2, 4, 4), (3, 3, 3)):
+        assert _von_dyck_infinite(OpenBookTriple(*t)), t
+    # Spherical, or an order below 2: not skipped.
+    for t in ((2, 3, 5), (2, 2, 100), (1, 5, 7), (0, 4, 5)):
+        assert not _von_dyck_infinite(OpenBookTriple(*t)), t
+    for t in ((2, 3, 6), (2, 3, 5), (-3, 5, 7), (0, 4, 5)):
+        expect = _von_dyck_infinite(OpenBookTriple(*t))
+        for perm in permutations(t):
+            for signs in product((1, -1), repeat=3):
+                signed = (s * n for s, n in zip(signs, perm))
+                assert _von_dyck_infinite(OpenBookTriple(*signed)) == expect, t
+
+
+def test_von_dyck_rule_is_exactly_exhaustion():
+    # Every |a| <= |b| <= |c| <= 12 triple with H1 = 1: the rule skips
+    # exactly the triples where the default budget runs out.
+    triples = _h1_trivial_triples(12)
+    skipped = 0
+    for t in triples:
+        norm = OpenBookTriple(*t).sorted_by_magnitude()
+        exhausted = todd_coxeter(pi1_presentation(norm)) is None
+        assert _von_dyck_infinite(norm) == exhausted, t
+        skipped += exhausted
+    assert (len(triples), skipped) == (70, 12)
 
 
 def test_max_cosets_must_be_positive():

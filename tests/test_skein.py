@@ -141,6 +141,16 @@ def test_node_budget():
         eng.homfly(TREFOIL)
 
 
+def test_negative_limits_are_rejected():
+    with pytest.raises(ValueError, match="max_nodes must be >= 0, got -3"):
+        SkeinEngine(max_nodes=-3)
+    with pytest.raises(ValueError, match="memo_capacity must be >= 0, got -1"):
+        SkeinEngine(memo_capacity=-1)
+    eng = SkeinEngine(max_nodes=0, memo_capacity=0)
+    with pytest.raises(BudgetExceededError):
+        eng.homfly(TREFOIL)
+
+
 def test_node_budget_is_per_query():
     eng = SkeinEngine(max_nodes=157)
     eng.homfly(closed_braid([1, 2] * 7, 3))  # T(3,7): exactly 157 nodes
