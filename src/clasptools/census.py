@@ -66,9 +66,14 @@ class ExceptionalKnot:
 
 
 def load_exceptional(path: Optional[str] = None) -> List[ExceptionalKnot]:
-    """Load the exceptional-knot data file; an absent file yields []."""
+    """Load the exceptional-knot data file.
+
+    An absent default file yields []; a path given explicitly must exist.
+    """
     p = Path(path) if path else _default_path("exceptional.tsv")
     if not p.exists():
+        if path:
+            raise CensusError(f"exceptional file not found: {p}")
         return []
     out: List[ExceptionalKnot] = []
     seen = set()

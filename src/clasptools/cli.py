@@ -26,6 +26,7 @@ from .clasp import (
     typeX_parity_obstruction,
 )
 from .diagram import DiagramError, parse_pd
+from .laurent import extract_p_i
 from .openbook import OpenBookTriple, classify_triple, s3_openbook_report
 from .skein import BudgetExceededError, SkeinEngine
 from .tangle import MontesinosDesc, montesinos_diagram, theorem1_catalog
@@ -92,10 +93,15 @@ def _resolve_diagram(name_or_pd: str, cfg):
     return table[name_or_pd]
 
 
-def _invariants_payload(name, d, eng):
+def _homfly_conway_p0(eng, d):
+    """HOMFLY, Conway and p0 of d from one skein query, by the definitions
+    of ``SkeinEngine.conway`` and ``SkeinEngine.p0``."""
     P = eng.homfly(d)
-    nabla = eng.conway(d)
-    p0 = eng.p0(d)
+    return P, P.substitute_v(1), extract_p_i(P, d.num_components, 0)
+
+
+def _invariants_payload(name, d, eng):
+    P, nabla, p0 = _homfly_conway_p0(eng, d)
     payload = {
         "name": name,
         "components": d.num_components,
@@ -211,8 +217,8 @@ def cmd_corollary12(args, cfg):
     for e in entries:
         if e.diagram is None:
             continue
-        pair = (eng.conway(e.diagram), eng.p0(e.diagram))
-        catalog_pairs.append((e.name, pair))
+        _, nabla, p0 = _homfly_conway_p0(eng, e.diagram)
+        catalog_pairs.append((e.name, (nabla, p0)))
     flagged = sum(1 for e in entries if e.diagram is None)
     report = {
         "certification_scope": (
@@ -223,10 +229,8 @@ def cmd_corollary12(args, cfg):
         "knots": [],
     }
     for name in COROLLARY12_NAMES:
-        d = census[name]
-        nabla = eng.conway(d)
+        _, nabla, p0 = _homfly_conway_p0(eng, census[name])
         a2, a4 = nabla.coefficient(0, 2), nabla.coefficient(0, 4)
-        p0 = eng.p0(d)
         matches = [
             cname
             for cname, (cn, cp) in catalog_pairs

@@ -265,17 +265,27 @@ class Diagram:
         Two diagrams get equal strings exactly when one becomes the other by
         reordering components and rotating the labels within each.  The
         edge components split into connected pieces (components that share
-        a crossing).  For each start edge of a piece, its component is
+        a crossing).  For a start edge of a piece, its component is
         labelled from that edge, and further components are labelled
         first-in-first-out in the order the walk meets them: scanning the
         labelled edges in label order, the other strand leaving the
         crossing where an edge ends starts the next unlabelled component.
         A piece's code is the least sorted signed crossing list over its
-        start edges; the piece codes are joined in sorted order, after
-        Weinberg's planar-graph traversal code.  It costs O(n^2) for n
-        crossings, one O(n) walk per start edge (each list comes out
-        sorted, so the O(n log n) sort is not needed), with no bound on the
-        number of components.
+        candidate start edges; the piece codes are joined in sorted order,
+        after Weinberg's planar-graph traversal code.
+
+        The candidates are chosen without labels.  Each edge has a letter,
+        under or over by the strand it enters its crossing on and that
+        crossing's sign; a start edge is a candidate when the letters of
+        its component, read cyclically from it, form the least rotation
+        over all components of the piece.  That rotation starts on an
+        under-in edge.  As the candidate set is a relabeling invariant, the
+        least code over it is one too.  Generic pieces have one candidate
+        and cost one O(n) walk for n crossings; symmetric ones (torus links
+        such as T(3,3), unions of equal links) tie on up to every under-in
+        edge, O(n^2) at worst (each list comes out sorted, so the
+        O(n log n) sort is not needed), with no bound on the number of
+        components.
         """
         if not self.crossings:
             return f"|U{self.free_loops}"
@@ -284,11 +294,22 @@ class Diagram:
         size = 2 * len(self.crossings) + 1
         other = [0] * size  # outgoing edge of the other strand where e ends
         under = [None] * size  # crossing whose under strand e enters
+        letter = [""] * size
+        piece = list(range(len(comps)))  # union-find over components
+
+        def root(ci: int) -> int:
+            while piece[ci] != ci:
+                ci = piece[ci]
+            return ci
+
         for (a, b, c, d), s in zip(self.crossings, self.signs):
             oi, oo = (b, d) if s > 0 else (d, b)
             other[a] = oo
             other[oi] = c
             under[a] = (a, b, c, d, s)
+            letter[a], letter[oi] = ("b", "d") if s > 0 else ("a", "c")
+            i, j = root(comp_of[a]), root(comp_of[oi])
+            piece[max(i, j)] = min(i, j)
 
         def walk(start: int) -> List[int]:
             """Edges in label order for the labelling that starts at ``start``."""
@@ -306,20 +327,25 @@ class Diagram:
                 e = other[order[pos]]
                 pos += 1
 
+        # Each piece's least rotation and the start edges that attain it.
+        least: Dict[int, Tuple[str, List[int]]] = {}
+        for ci, cyc in enumerate(comps):
+            word = "".join(letter[e] for e in cyc)
+            twice, length, first = word + word, len(word), min(word)
+            for i, ch in enumerate(word):
+                if ch == first:
+                    rot = twice[i:i + length]
+                    cur = least.get(root(ci))
+                    if cur is None or rot < cur[0]:
+                        least[root(ci)] = (rot, [cyc[i]])
+                    elif rot == cur[0]:
+                        cur[1].append(cyc[i])
+
         pieces = []
-        seen = set()
         label = [0] * size
-        for cyc in comps:
-            if cyc[0] in seen:
-                continue
-            edges = walk(cyc[0])
-            seen.update(edges)
+        for _, starts in least.values():
             best = None
-            # The least code starts with label 1 on an under-in edge, so
-            # only those start edges can attain it.
-            for start in edges:
-                if under[start] is None:
-                    continue
+            for start in starts:
                 order = walk(start)
                 for i, e in enumerate(order, 1):
                     label[e] = i

@@ -11,7 +11,9 @@ node and results are memoized by canonical code with LRU eviction.
 There is one recursion and one memo table.  The Conway polynomial is the
 HOMFLY polynomial at v = 1, and the zeroth coefficient polynomial is its
 ``extract_p_i`` coefficient 0 (Lickorish-Millett), so both cost one memo
-hit once the HOMFLY polynomial of a diagram is known.  Agreement of all
+hit once the HOMFLY polynomial of a diagram is known.  The CLI reads
+Conway and p0 off the one HOMFLY polynomial of each diagram itself, so an
+``invariants`` or ``montesinos`` call is one query.  Agreement of all
 three with an independent brute-force evaluation is part of the test
 suite.
 """

@@ -69,13 +69,16 @@ class ExtendedRational:
 
     @classmethod
     def parse(cls, text: str) -> "ExtendedRational":
+        """``p``, ``p/q`` or ``inf``; anything else raises ValueError naming it."""
         t = text.strip()
         if t in ("inf", "∞", "1/0"):
             return cls(1, 0)
-        if "/" in t:
-            a, b = t.split("/")
-            return cls(int(a), int(b))
-        return cls(int(t), 1)
+        num, slash, den = t.partition("/")
+        try:
+            p, q = int(num), (int(den) if slash else 1)
+        except ValueError:
+            raise ValueError(f"not a fraction: {text!r} (expected p, p/q or inf)") from None
+        return cls(p, q)
 
     def __str__(self):
         if self.is_infinity:

@@ -12,6 +12,8 @@ from clasptools.cli import (
     EXIT_UNKNOWN_NAME,
     main,
 )
+from clasptools.skein import SkeinEngine
+from clasptools.tangle import closed_braid
 
 
 def run(capsys, *argv):
@@ -63,6 +65,10 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     assert err.startswith(f"error: cannot read config {missing}: ")
     code, _, err = run(capsys, "corollary12")
     assert code == EXIT_ERROR and "missing required entries" in err
+    missing = tmp_path / "nonexistent.tsv"
+    code, out, err = run(capsys, "--exceptional", str(missing), "catalog")
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"error: exceptional file not found: {missing}\n"
     cfg = tmp_path / "clasptools.cfg"
     cfg.write_text("max-cosets=-5\n")
     for mode in ("--triple=-3,5,7", "--scan=1"):
@@ -105,6 +111,18 @@ def test_montesinos_command(capsys):
     payload = json.loads(out)
     assert payload["is_knot"] is True
     assert payload["a2"] == -1 and payload["a4"] == -1
+
+
+@pytest.mark.parametrize("desc, bad", [
+    ("1/2,1/3,a", "'a'"),
+    ("1/2/3,1/3,1/2", "'1/2/3'"),
+    ("1/,1/3,1/2", "'1/'"),
+    ("1/2,,1/3", "''"),
+])
+def test_montesinos_parse_errors(capsys, desc, bad):
+    code, out, err = run(capsys, "montesinos", f"--desc={desc}")
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"error: not a fraction: {bad} (expected p, p/q or inf)\n"
 
 
 def test_catalog_command(capsys):
@@ -190,7 +208,9 @@ def test_load_census_validation(tmp_path):
 
 
 def test_load_exceptional_absent_and_valid(tmp_path):
-    assert load_exceptional(str(tmp_path / "nope.tsv")) == []
+    assert load_exceptional() == []  # the default file is not shipped
+    with pytest.raises(CensusError, match="exceptional file not found"):
+        load_exceptional(str(tmp_path / "nope.tsv"))
     f = tmp_path / "ex.tsv"
     f.write_text("Kex1\t1\t-1\tPD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]\n")
     out = load_exceptional(str(f))
@@ -236,3 +256,56 @@ def test_invariants_golden_output(capsys):
         '  "a4": 0\n'
         "}\n"
     )
+
+
+T37_PD = closed_braid([1, 2] * 7, 3).pd_text()
+T37_STDOUT = (
+    "{\n"
+    f'  "name": "{T37_PD}",\n'
+    '  "components": 1,\n'
+    '  "homfly": "12*v^12 + -16*v^14 + 5*v^16 + 66*v^12*z^2 + -60*v^14*z^2'
+    " + 10*v^16*z^2 + 132*v^12*z^4 + -78*v^14*z^4 + 6*v^16*z^4 + 121*v^12*z^6"
+    " + -44*v^14*z^6 + 1*v^16*z^6 + 55*v^12*z^8 + -11*v^14*z^8 + 12*v^12*z^10"
+    ' + -1*v^14*z^10 + 1*v^12*z^12",\n'
+    '  "conway": "1 + 16*z^2 + 60*z^4 + 78*z^6 + 44*z^8 + 11*z^10 + 1*z^12",\n'
+    '  "p0": "12*v^12 + -16*v^14 + 5*v^16",\n'
+    '  "a2": 16,\n'
+    '  "a4": 60\n'
+    "}\n"
+)
+LINK3_PD = closed_braid([1, 1, 2, 2, -1, -1, 2, 2], 3).pd_text()
+LINK3_STDOUT = (
+    "{\n"
+    f'  "name": "{LINK3_PD}",\n'
+    '  "components": 3,\n'
+    '  "homfly": "1*v^2*z^-2 + -2*v^4*z^-2 + 1*v^6*z^-2 + 3*v^2 + -4*v^4 + 1*v^6'
+    ' + 2*v^2*z^2 + -3*v^4*z^2 + 1*v^6*z^2 + -1*v^4*z^4",\n'
+    '  "conway": "-1*z^4",\n'
+    '  "p0": "1 + -2*v^2 + 1*v^4"\n'
+    "}\n"
+)
+
+
+def test_one_skein_query_per_command(capsys, monkeypatch):
+    """`invariants` and `montesinos` read Conway and p0 off one HOMFLY query,
+    and print what the three separate queries printed."""
+    calls = []
+    for name in ("homfly", "conway", "p0"):
+        original = getattr(SkeinEngine, name)
+
+        def counted(self, d, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, d)
+
+        monkeypatch.setattr(SkeinEngine, name, counted)
+    for argv, stdout in (
+        (["invariants", T37_PD], T37_STDOUT),
+        (["invariants", LINK3_PD], LINK3_STDOUT),
+        (["montesinos", "--desc=-2/3,2,1/2"], None),
+    ):
+        calls.clear()
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert calls == ["homfly"], argv
+        if stdout is not None:
+            assert out == stdout

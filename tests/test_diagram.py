@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from clasptools.census import load_census
 from clasptools.diagram import Diagram, DiagramError, _Builder, parse_pd
 from clasptools.skein import SkeinEngine
 from clasptools.tangle import closed_braid
@@ -198,6 +199,49 @@ def test_canonical_code_has_no_component_cap():
     assert _relabel(five, random.Random(0)).canonical_code() == five.canonical_code()
     one_mirrored = five.delete_components([8, 9]).disjoint_union(hopf.mirror())
     assert one_mirrored.canonical_code() != five.canonical_code()
+
+
+def _ties():
+    """Diagrams whose pieces tie on many start edges."""
+    pos = parse_pd(HOPF_POS)
+    yield closed_braid([1] * 8, 2)  # T(2,8)
+    yield closed_braid([1, 2] * 3, 3)  # T(3,3)
+    yield closed_braid([1, 2] * 6, 3)  # T(3,6)
+    yield closed_braid([1, 2, 3] * 4, 4)  # T(4,4)
+    union = pos
+    for _ in range(3):
+        union = union.disjoint_union(pos)
+        yield union
+        yield union.delete_components([0, 1]).disjoint_union(pos.mirror())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_canonical_code_on_tied_start_edges(seed):
+    rnd = random.Random(seed)
+    for base in _ties():
+        family = [base]
+        for k in range(base.num_crossings):
+            family += [base.smooth_crossing(k), base.switch_crossing(k)]
+        relabeled = [_relabel(d, rnd) for d in family]
+        assert [d.canonical_code() for d in relabeled] == [d.canonical_code() for d in family]
+        family = [d for d in family + relabeled if _oracle_cost(d) <= 2_000]
+        new = [d.canonical_code() for d in family]
+        old = [canonical_code_bruteforce(d) for d in family]
+        for i in range(len(family)):
+            for j in range(i):
+                assert (new[i] == new[j]) == (old[i] == old[j])
+
+
+def test_pinned_memo_classes():
+    # Node counts move when two diagrams stop or start sharing a memo key.
+    census = load_census()
+    cases = [(closed_braid([1, 2] * 7, 3), 157), (closed_braid([1, 2, 3] * 5, 4), 267)]
+    for name, nodes in (("3_1", 5), ("4_1", 5), ("6_2", 9), ("6_3", 15), ("7_6", 15), ("7_7", 13)):
+        cases.append((census[name], nodes))
+    for d, nodes in cases:
+        eng = SkeinEngine()
+        eng.homfly(d)
+        assert eng.nodes_used == nodes
 
 
 def test_simplify():

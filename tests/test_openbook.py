@@ -11,6 +11,7 @@ from clasptools.openbook import (
     abelianization_order,
     classify_triple,
     free_reduce,
+    h1_order,
     nontriviality_witness,
     pi1_presentation,
     classified_trivial_set,
@@ -19,6 +20,7 @@ from clasptools.openbook import (
     todd_coxeter,
 )
 
+from clasptools import openbook
 from oracle import nontriviality_witness_all_pairs
 
 
@@ -49,6 +51,26 @@ def test_abelianization_is_determinant(a, b, c):
     order = abelianization_order(pi1_presentation(OpenBookTriple(a, b, c)))
     det = (a + b) * (a + c) - a * a
     assert order == abs(det)
+
+
+def test_h1_closed_form_matches_the_presentation():
+    count = 0
+    for a, b, c in product(range(-12, 13), repeat=3):
+        if abs(a) <= abs(b) <= abs(c):
+            t = OpenBookTriple(a, b, c)
+            assert h1_order(t) == abelianization_order(pi1_presentation(t)), t
+            count += 1
+    assert count == 3249
+
+
+def test_h1_needs_no_presentation(monkeypatch):
+    def refuse(t):
+        raise AssertionError(f"built the presentation of {t}")
+
+    monkeypatch.setattr(openbook, "pi1_presentation", refuse)
+    v = classify_triple(OpenBookTriple(1, 1, 99999999))
+    assert v.verdict == "nontrivial-pi1"
+    assert v.certificate == {"method": "abelianization", "h1_order": 199999999}
 
 
 def test_todd_coxeter_examples():
