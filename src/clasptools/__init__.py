@@ -15,7 +15,7 @@ from .clasp import (
 from .diagram import Diagram, DiagramError, parse_pd
 from .laurent import LaurentPoly, extract_p_i
 from .openbook import OpenBookTriple, classify_triple, s3_openbook_report, todd_coxeter
-from .skein import BudgetExceededError, SkeinEngine, conway, conway_coefficients, homfly, p0
+from .skein import BudgetExceededError, SkeinEngine
 from .tangle import (
     ExtendedRational,
     MontesinosDesc,
@@ -41,18 +41,14 @@ __all__ = [
     "classify_triple",
     "closed_braid",
     "continued_fraction",
-    "conway",
-    "conway_coefficients",
     "conway_model",
     "enumerate_params",
     "extract_p_i",
-    "homfly",
     "kadokami_kawamura_excluded",
     "load_census",
     "load_exceptional",
     "montesinos_diagram",
     "montesinos_equivalent",
-    "p0",
     "p0_model",
     "parse_pd",
     "pretzel_diagram",

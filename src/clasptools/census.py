@@ -27,6 +27,35 @@ def _default_path(filename: str) -> Path:
     return Path(str(resources.files("clasptools").joinpath("data", filename)))
 
 
+def _rows(p: Path, layout: str, kind: str):
+    """Yield ``(where, fields, diagram)`` for each entry line of a TSV file.
+
+    Blank and ``#`` lines are skipped.  Each entry must have the columns of
+    ``layout`` and a name (its first field) not used before, and its last
+    field is parsed as a PD code.  ``where`` is the ``path:line`` that
+    every error names.
+    """
+    columns = layout.count("<TAB>") + 1
+    seen = set()
+    for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"{p}:{lineno}"
+        parts = line.split("\t")
+        if len(parts) != columns:
+            raise CensusError(f"{where}: expected `{layout}`")
+        name = parts[0]
+        if name in seen:
+            raise CensusError(f"{where}: duplicate {kind} name {name!r}")
+        seen.add(name)
+        try:
+            d = parse_pd(parts[-1])
+        except DiagramError as e:
+            raise CensusError(f"{where}: entry {name!r} is invalid: {e}") from e
+        yield where, parts, d
+
+
 def load_census(path: Optional[str] = None, engine: Optional[SkeinEngine] = None) -> Dict[str, Diagram]:
     """Load and validate the named-knot table."""
     p = Path(path) if path else _default_path("census.tsv")
@@ -34,25 +63,9 @@ def load_census(path: Optional[str] = None, engine: Optional[SkeinEngine] = None
         raise CensusError(f"census file not found: {p}")
     engine = engine or SkeinEngine()
     table: Dict[str, Diagram] = {}
-    for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise CensusError(f"{p}:{lineno}: expected `name<TAB>PD[...]`")
-        name, pd = parts
-        if name in table:
-            raise CensusError(f"{p}:{lineno}: duplicate census name {name!r}")
-        try:
-            d = parse_pd(pd)
-        except DiagramError as e:
-            raise CensusError(f"{p}:{lineno}: entry {name!r} is invalid: {e}") from e
-        nabla = engine.conway(d)
-        if nabla.coefficient(0, 0) != 1:
-            raise CensusError(
-                f"{p}:{lineno}: entry {name!r} fails the Conway constant-term check"
-            )
+    for where, (name, _), d in _rows(p, "name<TAB>PD[...]", "census"):
+        if engine.conway(d).coefficient(0, 0) != 1:
+            raise CensusError(f"{where}: entry {name!r} fails the Conway constant-term check")
         table[name] = d
     return table
 
@@ -76,29 +89,16 @@ def load_exceptional(path: Optional[str] = None) -> List[ExceptionalKnot]:
             raise CensusError(f"exceptional file not found: {p}")
         return []
     out: List[ExceptionalKnot] = []
-    seen = set()
-    for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise CensusError(
-                f"{p}:{lineno}: expected `name<TAB>eps1<TAB>eps2<TAB>PD[...]`"
-            )
-        name, e1, e2, pd = parts
-        if name in seen:
-            raise CensusError(f"{p}:{lineno}: duplicate exceptional name {name!r}")
-        seen.add(name)
-        eps1, eps2 = int(e1), int(e2)
-        if eps1 not in (1, -1) or eps2 not in (1, -1):
-            raise CensusError(f"{p}:{lineno}: clasp signs must be +1 or -1")
+    layout = "name<TAB>eps1<TAB>eps2<TAB>PD[...]"
+    for where, (name, e1, e2, _), d in _rows(p, layout, "exceptional"):
         try:
-            d = parse_pd(pd)
-        except DiagramError as e:
-            raise CensusError(f"{p}:{lineno}: entry {name!r} is invalid: {e}") from e
+            eps1, eps2 = int(e1), int(e2)
+            if eps1 not in (1, -1) or eps2 not in (1, -1):
+                raise ValueError
+        except ValueError:
+            raise CensusError(f"{where}: clasp signs must be +1 or -1") from None
         if d.num_components != 1:
-            raise CensusError(f"{p}:{lineno}: exceptional entry {name!r} is not a knot")
+            raise CensusError(f"{where}: exceptional entry {name!r} is not a knot")
         out.append(ExceptionalKnot(name, eps1, eps2, d))
     return out
 

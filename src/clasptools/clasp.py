@@ -189,7 +189,7 @@ def typeX_sum_of_squares_search(
     """
     if eps1 not in (1, -1) or eps2 not in (1, -1):
         raise ValueError("signs must be +1 or -1")
-    if deg_bound < 0 or coeff_bound < 0:
+    if deg_bound < 0 or coeff_bound < 0 or node_cap < 0:
         raise ValueError("bounds must be nonnegative")
     if any(ez for (_, ez) in p0_K._terms):
         raise ValueError("p0 must be a v-only polynomial")

@@ -7,9 +7,9 @@ each component, so orientation is induced by increasing labels.  The
 crossing is positive when the over strand runs b -> d, negative when it
 runs d -> b; for knots this is the classical ``d = b+1 (mod 2n)`` rule,
 and for links the wrap-around at component boundaries is resolved
-structurally (the successor map of edges must be a permutation whose
-cycles are consecutive label runs).  A code read from outside must also
-be planar: V - E + F = 2 on every connected piece of crossings.
+structurally (following each edge through the crossing it enters must
+give cycles of consecutive label runs).  A code read from outside must
+also be planar: V - E + F = 2 on every connected piece of crossings.
 
 Crossingless unknot components ("free loops") are tracked by an explicit
 counter: they arise naturally when a smoothing strands a component.  In
@@ -41,7 +41,7 @@ def _over_out_port(sign: int) -> int:
 class Diagram:
     """An oriented link diagram (PD code plus free loop counter)."""
 
-    __slots__ = ("crossings", "signs", "free_loops", "components", "_comp_of", "_head")
+    __slots__ = ("crossings", "signs", "free_loops", "components", "_comp_of", "_head", "_tail")
 
     def __init__(self, crossings: Sequence[Sequence[int]], free_loops: int = 0):
         quads = tuple(tuple(int(x) for x in q) for q in crossings)
@@ -60,25 +60,54 @@ class Diagram:
         return self
 
     def _finish(self, quads: Tuple[Quad, ...], signs: Tuple[int, ...], free_loops: int):
+        """Build the arc table and the components, rejecting bad codes.
+
+        ``_head`` and ``_tail`` map an edge to the ``(crossing, port)`` where
+        it enters and leaves; a label outside 1..2n or an edge on two ports of
+        one side is rejected, so each label appears exactly twice.  Components
+        follow the heads (port p's strand leaves at p + 2 mod 4) and must have
+        consecutive labels.
+        """
         if free_loops < 0:
             raise DiagramError("negative free loop count")
-        _check_edge_multiplicity(quads)
-        succ = _successor_map(quads, signs)
-        comps = _components_from_succ(succ, 2 * len(quads))
+        two_n = 2 * len(quads)
+        head: Dict[int, Tuple[int, int]] = {}
+        tail: Dict[int, Tuple[int, int]] = {}
+        for k, (q, s) in enumerate(zip(quads, signs)):
+            oi, oo = _over_in_port(s), _over_out_port(s)
+            for ends, p, verb in ((head, 0, "enters"), (tail, 2, "leaves"),
+                                  (head, oi, "enters"), (tail, oo, "leaves")):
+                e = q[p]
+                if not (1 <= e <= two_n):
+                    raise DiagramError(f"edge label {e} outside 1..{two_n}")
+                if e in ends:
+                    raise DiagramError(f"edge {e} {verb} two different crossings")
+                ends[e] = (k, p)
+        comps: List[Tuple[int, ...]] = []
+        comp_of: Dict[int, int] = {}
+        for m in range(1, two_n + 1):
+            if m in comp_of:
+                continue
+            cur = m
+            while True:
+                comp_of[cur] = len(comps)
+                k, p = head[cur]
+                nxt = quads[k][(p + 2) % 4]
+                if nxt == m:
+                    break
+                if nxt != cur + 1:
+                    raise DiagramError(
+                        f"edge labels not consecutive along a component (succ({cur}) = {nxt})"
+                    )
+                cur = nxt
+            comps.append(tuple(range(m, cur + 1)))
         object.__setattr__(self, "crossings", quads)
         object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "free_loops", free_loops)
-        object.__setattr__(self, "components", comps)
-        comp_of: Dict[int, int] = {}
-        for ci, cyc in enumerate(comps):
-            for e in cyc:
-                comp_of[e] = ci
+        object.__setattr__(self, "components", tuple(comps))
         object.__setattr__(self, "_comp_of", comp_of)
-        head: Dict[int, Tuple[int, int]] = {}
-        for k, (q, s) in enumerate(zip(quads, signs)):
-            head[q[0]] = (k, 0)
-            head[q[_over_in_port(s)]] = (k, _over_in_port(s))
         object.__setattr__(self, "_head", head)
+        object.__setattr__(self, "_tail", tail)
 
     def __setattr__(self, *args):
         raise AttributeError("Diagram is immutable")
@@ -245,7 +274,7 @@ class Diagram:
         under-in label (the diagram itself when they already are), which is
         the form every ``simplify`` result has.
         """
-        move = _find_move(_arc_tails(self), self._head)
+        move = _find_move(self._tail, self._head)
         if move is None:
             quads = self.crossings
             if all(p[0] < q[0] for p, q in zip(quads, quads[1:])):
@@ -489,47 +518,6 @@ def _check_planar(quads: Tuple[Quad, ...]):
             raise DiagramError(f"not a planar diagram: V - E + F = {x}, not 2")
 
 
-def _successor_map(quads: Tuple[Quad, ...], signs: Tuple[int, ...]) -> Dict[int, int]:
-    succ: Dict[int, int] = {}
-    dst = set()
-    for (a, b, c, d), s in zip(quads, signs):
-        pairs = ((a, c), (b, d)) if s > 0 else ((a, c), (d, b))
-        for x, y in pairs:
-            if x in succ:
-                raise DiagramError(f"edge {x} leaves two different crossings")
-            if y in dst:
-                raise DiagramError(f"edge {y} enters two different crossings")
-            succ[x] = y
-            dst.add(y)
-    return succ
-
-
-def _components_from_succ(succ: Dict[int, int], two_n: int) -> Tuple[Tuple[int, ...], ...]:
-    comps: List[Tuple[int, ...]] = []
-    seen = [False] * (two_n + 1)
-    for m in range(1, two_n + 1):
-        if seen[m]:
-            continue
-        cyc = [m]
-        seen[m] = True
-        cur = m
-        while True:
-            nxt = succ.get(cur)
-            if nxt is None:
-                raise DiagramError(f"edge {cur} has no successor")
-            if nxt == m:
-                break
-            if nxt != cur + 1:
-                raise DiagramError(
-                    f"edge labels not consecutive along a component (succ({cur}) = {nxt})"
-                )
-            cyc.append(nxt)
-            seen[nxt] = True
-            cur = nxt
-        comps.append(tuple(cyc))
-    return tuple(comps)
-
-
 def _infer_signs(quads: Tuple[Quad, ...]) -> Tuple[int, ...]:
     """Resolve over-strand directions for each crossing, in one pass.
 
@@ -584,27 +572,17 @@ def _by_under_in(quads: Sequence[Quad], signs: Sequence[int], free_loops: int) -
     return Diagram._trusted([quads[i] for i in order], [signs[i] for i in order], free_loops)
 
 
-def _arc_tails(d: Diagram) -> Dict[int, Tuple[int, int]]:
-    """Edge -> (crossing, port) where it leaves (``Diagram._head`` has where it enters)."""
-    tail: Dict[int, Tuple[int, int]] = {}
-    for k, (q, s) in enumerate(zip(d.crossings, d.signs)):
-        oo = _over_out_port(s)
-        tail[q[2]] = (k, 2)
-        tail[q[oo]] = (k, oo)
-    return tail
-
-
 def _find_move(tail, head):
     """The first Reidemeister I/II move of a diagram, in one pass over its arcs.
 
     ``tail`` and ``head`` map each arc to the ``(crossing, port)`` it leaves
-    and enters.  The move is the one a scan over the crossings takes first:
-    R1 at the least crossing with a kink (an arc joining two adjacent ports
-    of one crossing), the kink entering its under-in port before one
-    entering its over-in port; otherwise R2 at the first crossing pair
-    ``(j, k)``, ``j < k``, joined by two arcs of which one runs over and
-    the other under both crossings, trying the joining arcs in the order of
-    their ports at ``j``.  Returns the ``(crossings, arcs)`` that
+    and enters: a diagram's arc table, or a ``_Builder``'s.  The move is the
+    one a scan over the crossings takes first: R1 at the least crossing with
+    a kink (an arc joining two adjacent ports of one crossing), the kink
+    entering its under-in port before one entering its over-in port;
+    otherwise R2 at the first crossing pair ``(j, k)``, ``j < k``, joined by
+    two arcs of which one runs over and the other under both crossings,
+    trying the joining arcs in the order of their ports at ``j``.  Returns the ``(crossings, arcs)`` that
     ``_Builder.remove`` takes, the R2 under arc first, or ``None``.
     """
     kinks = []
@@ -636,7 +614,8 @@ class _Builder:
     """Mutable crossing/arc graph used for smoothing, sums and simplification.
 
     Arcs are directed: ``tail`` and ``head`` map each live arc to the
-    ``(crossing, port)`` it leaves and enters, and ``cr`` maps a crossing to
+    ``(crossing, port)`` it leaves and enters (copies of the diagram's
+    ``_tail`` and ``_head`` at the start), and ``cr`` maps a crossing to
     its port list and sign.  A splice keeps the smaller of the two arc ids
     and aliases the other to it (union-find), so captured arc ids and port
     lists stay valid, and an arc's id is the least edge label merged into
@@ -655,7 +634,7 @@ class _Builder:
         b = cls()
         b.free_loops = d.free_loops
         b.cr = {k: (list(q), s) for k, (q, s) in enumerate(zip(d.crossings, d.signs))}
-        b.tail = _arc_tails(d)
+        b.tail = dict(d._tail)
         b.head = dict(d._head)
         return b
 

@@ -8,14 +8,15 @@ it moves the violation strictly later; smoothing drops a crossing; a
 descending diagram is an unlink.  Diagrams are R1/R2-simplified at every
 node and results are memoized by canonical code with LRU eviction.
 
-There is one recursion and one memo table.  The Conway polynomial is the
-HOMFLY polynomial at v = 1, and the zeroth coefficient polynomial is its
-``extract_p_i`` coefficient 0 (Lickorish-Millett), so both cost one memo
-hit once the HOMFLY polynomial of a diagram is known.  The CLI reads
-Conway and p0 off the one HOMFLY polynomial of each diagram itself, so an
-``invariants`` or ``montesinos`` call is one query.  Agreement of all
-three with an independent brute-force evaluation is part of the test
-suite.
+There is one recursion, and each ``SkeinEngine`` has one memo table; the
+module keeps no engine of its own, so every caller makes the engine its
+queries run on.  The Conway polynomial is the HOMFLY polynomial at v = 1,
+and the zeroth coefficient polynomial is its ``extract_p_i`` coefficient 0
+(Lickorish-Millett), so both cost one memo hit once the HOMFLY polynomial
+of a diagram is known.  The CLI reads Conway and p0 off the one HOMFLY
+polynomial of each diagram itself, so an ``invariants`` or ``montesinos``
+call is one query.  Agreement of all three with an independent brute-force
+evaluation is part of the test suite.
 """
 
 from __future__ import annotations
@@ -165,22 +166,3 @@ def _descending_violation(d: Diagram) -> Optional[int]:
         if port == 0:
             return k
     return None
-
-
-_default_engine = SkeinEngine()
-
-
-def homfly(d: Diagram) -> LaurentPoly:
-    return _default_engine.homfly(d)
-
-
-def conway(d: Diagram) -> LaurentPoly:
-    return _default_engine.conway(d)
-
-
-def p0(d: Diagram) -> LaurentPoly:
-    return _default_engine.p0(d)
-
-
-def conway_coefficients(d: Diagram) -> Tuple[int, int]:
-    return _default_engine.conway_coefficients(d)

@@ -494,23 +494,22 @@ class CatalogEntry:
     note: str = ""
 
 
-def theorem1_catalog(n_bound: int, census=None, exceptional=None) -> List[CatalogEntry]:
+def theorem1_catalog(n_bound: int, census, exceptional) -> List[CatalogEntry]:
     """Generate the classification list up to the Montesinos family bound.
 
     (i) the four connected sums from the census trefoil and figure-eight;
     (ii) the two-bridge knots via their Montesinos expressions; (iii) the
     six classified Montesinos families over |n| <= n_bound (the 1/(2n)
     families skip n = 0, whose degenerate infinity entry reproduces the
-    connected sums already listed); (iv) the twelve exceptional knots
-    from the pluggable data file, emitted without diagrams and flagged
-    when the file is absent.
+    connected sums already listed); (iv) the twelve exceptional knots,
+    emitted without diagrams and flagged when ``exceptional`` is empty.
+
+    The caller supplies the data: ``census`` maps names to diagrams (it
+    needs ``3_1`` and ``4_1``, as from ``census.load_census``), and
+    ``exceptional`` is a list like ``census.load_exceptional`` returns.
     """
     if n_bound < 0:
         raise ValueError("n_bound must be nonnegative")
-    if census is None:
-        from .census import load_census
-
-        census = load_census()
     entries: List[CatalogEntry] = []
 
     tre = census["3_1"]
@@ -553,10 +552,6 @@ def theorem1_catalog(n_bound: int, census=None, exceptional=None) -> List[Catalo
         if e.diagram is not None and e.diagram.num_components != 1:
             raise ValueError(f"catalog entry {e.name} is not a knot")
 
-    if exceptional is None:
-        from .census import load_exceptional
-
-        exceptional = load_exceptional()
     if exceptional:
         for k in exceptional:
             entries.append(

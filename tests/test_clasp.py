@@ -163,6 +163,16 @@ def test_sum_of_squares_examples():
     assert r.status == "refuted"
 
 
+def test_sum_of_squares_rejects_negative_bounds():
+    # A negative node cap is a bad argument, like a negative degree bound,
+    # not an exhausted search.
+    for kwargs in ({"deg_bound": -1}, {"coeff_bound": -1}, {"node_cap": -5}):
+        with pytest.raises(ValueError, match="bounds must be nonnegative"):
+            typeX_sum_of_squares_search(P("1*v^4"), 1, 1, **kwargs)
+    r = typeX_sum_of_squares_search(P("1*v^4"), 1, 1, node_cap=0)
+    assert (r.status, r.reason) == ("inconclusive", "search node cap exhausted")
+
+
 def test_sum_of_squares_rejects_a_wrong_pair(monkeypatch):
     # The found pair is re-checked explicitly, so the check survives -O.
     wrong = (P("1*v^2"), LaurentPoly.zero())

@@ -218,6 +218,11 @@ def test_load_exceptional_absent_and_valid(tmp_path):
     f.write_text("Kex1\t2\t1\tPD[]\n")
     with pytest.raises(CensusError, match="signs"):
         load_exceptional(str(f))
+    # A sign that is not an integer names the file and line too.
+    f.write_text("# header\nKex1\tx\t1\tPD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]\n")
+    with pytest.raises(CensusError) as err:
+        load_exceptional(str(f))
+    assert str(err.value) == f"{f}:2: clasp signs must be +1 or -1"
 
 
 def test_census_anchors():

@@ -56,6 +56,12 @@ def test_parse_errors():
             parse_pd(code)
     with pytest.raises(DiagramError):
         parse_pd("notapd")
+    # The message names the side with two ports: edge 1 is the under-in
+    # strand of both crossings; edge 2 leaves both at port 2 and enters none.
+    with pytest.raises(DiagramError, match="^edge 1 enters two different crossings$"):
+        parse_pd("PD[X[1,3,2,4],X[1,4,2,3]]")
+    with pytest.raises(DiagramError, match="^edge 2 leaves two different crossings$"):
+        parse_pd("PD[X[1,1,2,3],X[4,4,2,3]]")
 
 
 def test_split_over_component_orientation_rule():

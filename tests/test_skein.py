@@ -6,7 +6,7 @@ import pytest
 
 from clasptools.diagram import Diagram, parse_pd
 from clasptools.laurent import UNLINK_FACTOR, LaurentPoly, extract_p_i
-from clasptools.skein import BudgetExceededError, SkeinEngine, conway, homfly, p0
+from clasptools.skein import BudgetExceededError, SkeinEngine
 from clasptools.tangle import closed_braid
 
 from oracle import conway_bruteforce, homfly_bruteforce, p0_bruteforce
@@ -16,6 +16,10 @@ P = LaurentPoly.parse
 TREFOIL = parse_pd("PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]")
 FIG8 = parse_pd("PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]")
 HOPF_POS = parse_pd("PD[X[1,4,2,3],X[3,2,4,1]]")
+
+# One engine, and one memo, for the queries of this module.
+ENGINE = SkeinEngine()
+homfly, conway, p0 = ENGINE.homfly, ENGINE.conway, ENGINE.p0
 
 
 def test_homfly_frozen_values():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clasptools.census import load_census
 from clasptools.diagram import parse_pd
 from clasptools.laurent import LaurentPoly
 from clasptools.skein import SkeinEngine
@@ -165,7 +166,7 @@ def test_equivalent_descriptions_have_equal_homfly(m, n, perm):
 
 
 def test_theorem1_catalog_structure():
-    cat = theorem1_catalog(1)
+    cat = theorem1_catalog(1, load_census(), [])
     by_family = {}
     for e in cat:
         by_family.setdefault(e.family, []).append(e)
@@ -180,7 +181,7 @@ def test_theorem1_catalog_structure():
 
 
 def test_catalog_contains_granny_conway():
-    cat = theorem1_catalog(0)
+    cat = theorem1_catalog(0, load_census(), [])
     target = LaurentPoly.parse("1 + 2*z^2 + 1*z^4")
     assert any(
         e.diagram is not None and eng.conway(e.diagram) == target for e in cat
