@@ -33,11 +33,15 @@ def _rows(p: Path, layout: str, kind: str):
     Blank and ``#`` lines are skipped.  Each entry must have the columns of
     ``layout`` and a name (its first field) not used before, and its last
     field is parsed as a PD code.  ``where`` is the ``path:line`` that
-    every error names.
+    every error names; a file that cannot be read or decoded is named too.
     """
+    try:
+        text = p.read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise CensusError(f"cannot read {kind} file {p}: {getattr(e, 'strerror', None) or e}") from None
     columns = layout.count("<TAB>") + 1
     seen = set()
-    for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

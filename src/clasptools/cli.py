@@ -3,7 +3,8 @@
 Subcommands: ``invariants``, ``clasp-obstruct``, ``montesinos``,
 ``catalog``, ``openbook``, ``corollary12``.  Machine-readable JSON goes
 to stdout, diagnostics to stderr.  Exit codes: 0 success, 2 unknown
-census name, 3 parse error, 4 node budget exceeded, 1 anything else.
+census name, 3 parse error, 4 node budget exceeded, 1 anything else
+(usage errors and unreadable data files included).
 
 A config file in ``key=value`` format can preload limits (node-budget,
 memo-capacity, bound, max-cosets, census, exceptional); command-line
@@ -57,8 +58,10 @@ def _load_config(path):
     if path:
         try:
             text = Path(path).read_text()
-        except OSError as e:
-            raise ValueError(f"cannot read config {path}: {e.strerror or e}") from None
+        except (OSError, UnicodeDecodeError) as e:
+            raise ValueError(
+                f"cannot read config {path}: {getattr(e, 'strerror', None) or e}"
+            ) from None
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -289,7 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as e:
+        if e.code:  # a usage error, already printed by argparse
+            return EXIT_ERROR
+        raise
     try:
         cfg = _load_config(args.config)
         if args.census:

@@ -8,8 +8,11 @@ crossing is positive when the over strand runs b -> d, negative when it
 runs d -> b; for knots this is the classical ``d = b+1 (mod 2n)`` rule,
 and for links the wrap-around at component boundaries is resolved
 structurally (following each edge through the crossing it enters must
-give cycles of consecutive label runs).  A code read from outside must
-also be planar: V - E + F = 2 on every connected piece of crossings.
+give cycles of consecutive label runs).  A code read from outside is
+checked through one dart table (each label's two darts, where dart 4k + p
+is port p of crossing k): every label 1..2n appears exactly twice, then
+V - E + F = 2 on every connected piece of crossings (planarity), and only
+then are the signs inferred.
 
 Crossingless unknot components ("free loops") are tracked by an explicit
 counter: they arise naturally when a smoothing strands a component.  In
@@ -37,6 +40,11 @@ def _over_in_port(sign: int) -> int:
 def _over_out_port(sign: int) -> int:
     return 3 if sign > 0 else 1
 
+def _switched(q: Quad, sign: int) -> Quad:
+    """Crossing q with over and under swapped: the over-in port comes first."""
+    oi = _over_in_port(sign)
+    return q[oi:] + q[:oi]
+
 
 class Diagram:
     """An oriented link diagram (PD code plus free loop counter)."""
@@ -48,9 +56,9 @@ class Diagram:
         for q in quads:
             if len(q) != 4:
                 raise DiagramError(f"crossing {q} does not have four edge labels")
-        signs = _infer_signs(quads)
-        _check_planar(quads)
-        self._finish(quads, signs, int(free_loops))
+        darts = _dart_table(quads)
+        _check_planar(darts, len(quads))
+        self._finish(quads, _infer_signs(quads, darts), int(free_loops))
 
     @classmethod
     def _trusted(cls, quads: Sequence[Quad], signs: Sequence[int], free_loops: int) -> "Diagram":
@@ -167,20 +175,14 @@ class Diagram:
             raise IndexError("crossing index out of range")
         quads = list(self.crossings)
         signs = list(self.signs)
-        a, b, c, d = quads[k]
-        # The new under-in is the old over-in; counterclockwise order is kept.
-        quads[k] = (b, c, d, a) if signs[k] > 0 else (d, a, b, c)
+        quads[k] = _switched(quads[k], signs[k])
         signs[k] = -signs[k]
         return Diagram._trusted(quads, signs, self.free_loops)
 
     def mirror(self) -> "Diagram":
         """Swap over/under at every crossing."""
-        quads = []
-        signs = []
-        for (a, b, c, d), s in zip(self.crossings, self.signs):
-            quads.append((b, c, d, a) if s > 0 else (d, a, b, c))
-            signs.append(-s)
-        return Diagram._trusted(quads, signs, self.free_loops)
+        quads = [_switched(q, s) for q, s in zip(self.crossings, self.signs)]
+        return Diagram._trusted(quads, [-s for s in self.signs], self.free_loops)
 
     def smooth_crossing(self, k: int) -> "Diagram":
         """Oriented smoothing of crossing k."""
@@ -442,7 +444,7 @@ def parse_pd(text: str) -> Diagram:
     quads: List[Quad] = []
     loops = 0
     pos = 0
-    while pos < len(body):
+    while True:  # a token, then either the end or a comma and another token
         tok = _PD_TOKEN.match(body, pos)
         if not tok:
             raise DiagramError(f"bad PD token at {body[pos:pos+20]!r}")
@@ -451,115 +453,106 @@ def parse_pd(text: str) -> Diagram:
         else:
             quads.append(tuple(int(g) for g in tok.groups()))
         pos = tok.end()
-        if pos < len(body):
-            if body[pos] != ",":
-                raise DiagramError(f"expected ',' at {body[pos:pos+20]!r}")
-            pos += 1
+        if pos == len(body):
+            break
+        if body[pos] != ",":
+            raise DiagramError(f"expected ',' at {body[pos:pos+20]!r}")
+        pos += 1
     return Diagram(quads, free_loops=loops)
 
 
 # -- validation helpers ----------------------------------------------------
 
-def _check_edge_multiplicity(quads: Tuple[Quad, ...]):
+def _dart_table(quads: Tuple[Quad, ...]) -> List[List[int]]:
+    """Each edge label's two darts, in PD order; dart 4k + p is port p of
+    crossing k.
+
+    A label outside 1..2n, or one that does not appear exactly twice, is
+    rejected.  Dart i's strand partner (across the crossing) is ``i ^ 2``.
+    """
     two_n = 2 * len(quads)
-    count = [0] * (two_n + 1)
-    for q in quads:
-        for e in q:
-            if not (1 <= e <= two_n):
-                raise DiagramError(f"edge label {e} outside 1..{two_n}")
-            count[e] += 1
-    bad = [e for e in range(1, two_n + 1) if count[e] != 2]
+    darts: List[List[int]] = [[] for _ in range(two_n + 1)]
+    for i, e in enumerate(e for q in quads for e in q):
+        if not (1 <= e <= two_n):
+            raise DiagramError(f"edge label {e} outside 1..{two_n}")
+        darts[e].append(i)
+    bad = [e for e in range(1, two_n + 1) if len(darts[e]) != 2]
     if bad:
         raise DiagramError(f"edge labels {bad} do not appear exactly twice")
+    return darts
 
 
-def _check_planar(quads: Tuple[Quad, ...]):
-    """Require V - E + F = 2 on every connected piece of crossings.
+def _check_planar(darts: List[List[int]], n: int):
+    """Require V - E + F = 2 on every connected piece of the n crossings.
 
-    A dart is a crossing port; the faces are the orbits of dart -> the
-    counterclockwise neighbour of its edge's other end (the rule of
-    ``tangle.tangle_faces``).  A piece of n crossings has 2n edges, so
-    V - E + F is its face count minus n.
+    The faces are the orbits of dart -> the counterclockwise neighbour of
+    its edge's other end (the rule of ``tangle.tangle_faces``).  A piece of
+    m crossings has 2m edges, so V - E + F is its face count minus m.  The
+    pieces come from a union-find whose roots are their least crossings,
+    and the first piece that fails is reported.
     """
-    n = len(quads)
-    ends: Dict[int, List[int]] = {}
-    for i, e in enumerate(e for q in quads for e in q):
-        ends.setdefault(e, []).append(i)
     other = [0] * (4 * n)
-    for i, j in ends.values():
+    piece = list(range(n))
+
+    def root(k: int) -> int:
+        while piece[k] != k:
+            k = piece[k]
+        return k
+
+    for i, j in darts[1:]:
         other[i], other[j] = j, i
-    piece = [-1] * n
-    euler: Dict[int, int] = {}  # piece root -> V - E + F
-    for root in range(n):
-        if piece[root] >= 0:
-            continue
-        piece[root] = root
-        stack = [root]
-        while stack:
-            k = stack.pop()
-            euler[root] = euler.get(root, 0) - 1
-            for d in range(4 * k, 4 * k + 4):
-                m = other[d] // 4
-                if piece[m] < 0:
-                    piece[m] = root
-                    stack.append(m)
+        r, t = root(i // 4), root(j // 4)
+        piece[max(r, t)] = min(r, t)
+    euler = [0] * n  # piece root -> V - E + F
+    for k in range(n):
+        euler[root(k)] -= 1
     seen = [False] * (4 * n)
     for start in range(4 * n):
         if seen[start]:
             continue
-        euler[piece[start // 4]] += 1
+        euler[root(start // 4)] += 1
         d = start
         while not seen[d]:
             seen[d] = True
             o = other[d]
             d = o - o % 4 + (o + 1) % 4
-    for x in euler.values():
-        if x != 2:
-            raise DiagramError(f"not a planar diagram: V - E + F = {x}, not 2")
+    for k in range(n):
+        if piece[k] == k and euler[k] != 2:
+            raise DiagramError(f"not a planar diagram: V - E + F = {euler[k]}, not 2")
 
 
-def _infer_signs(quads: Tuple[Quad, ...]) -> Tuple[int, ...]:
+def _infer_signs(quads: Tuple[Quad, ...], darts: List[List[int]]) -> Tuple[int, ...]:
     """Resolve over-strand directions for each crossing, in one pass.
 
     Labels run consecutively along each component, so an over strand with
     labels x < y runs x -> y when y = x + 1, and y -> x (the wrap of a
     component's label run) otherwise.  A two-edge component {x, x + 1}
-    meets both of its crossings with the same label pair, so its labels
-    leave its direction open: an under strand of it fixes the direction.
-    When it is over at both crossings it lies above the rest of the
-    diagram, a split unknot, and either direction gives the same link; x
-    is then taken to enter the first of its two crossings in PD order.  A
-    one-edge over loop (``b == d``) cannot occur in a planar diagram and
-    raises DiagramError.  Codes whose directions do not fit together are
-    rejected when the diagram is built.
+    meets both of its crossings with the same label pair (the strand
+    partner of each dart of x is y), so its labels leave its direction
+    open: an under strand of it fixes the direction, as the edge that
+    leaves there (at a port 2) enters the crossing where it is over.  When
+    it is over at both crossings it lies above the rest of the diagram, a
+    split unknot, and either direction gives the same link; x is then
+    taken to enter the first of its two crossings in PD order.  The code
+    must already be planar: that rules out a one-edge over loop (b == d),
+    a closed curve through the crossing that separates its two under
+    ports.  Codes whose directions do not fit together are rejected when
+    the diagram is built.
     """
-    _check_edge_multiplicity(quads)
-    partners: Dict[int, List[int]] = {}
-    for a, b, c, d in quads:
-        for x, y in ((a, c), (b, d)):
-            partners.setdefault(x, []).append(y)
-            partners.setdefault(y, []).append(x)
-    under_out = {c for _, _, c, _ in quads}
-    over_only = set()
+    flat = [e for q in quads for e in q]
+
+    def leaves_under(e: int) -> bool:
+        return any(i % 4 == 2 for i in darts[e])
+
     signs = []
-    for _, b, _, d in quads:
+    for k, (_, b, _, d) in enumerate(quads):
         x, y = min(b, d), max(b, d)
-        if x == y:
-            raise DiagramError(
-                f"edge {x} leaves and re-enters one crossing as its over strand"
-                " (not a planar diagram)"
-            )
-        if partners[x] != [y, y]:
+        if any(flat[i ^ 2] != y for i in darts[x]):
             into = x if y == x + 1 else y
-        elif x in under_out or y in under_out:
-            # The component's other crossing has it under, where one of
-            # its edges leaves; that edge enters here.
-            into = x if x in under_out else y
-        elif x in over_only:
-            into = y
+        elif leaves_under(x) or leaves_under(y):
+            into = x if leaves_under(x) else y
         else:
-            over_only.add(x)
-            into = x
+            into = x if darts[x][0] // 4 == k else y
         signs.append(1 if into == b else -1)
     return tuple(signs)
 
@@ -659,12 +652,8 @@ class _Builder:
 
     def smooth(self, k: int):
         q, s = self.cr.pop(k)
-        if s > 0:
-            self.splice(q[0], q[3])
-            self.splice(q[1], q[2])
-        else:
-            self.splice(q[0], q[1])
-            self.splice(q[3], q[2])
+        self.splice(q[0], q[_over_out_port(s)])
+        self.splice(q[_over_in_port(s)], q[2])
 
     def remove(self, crossings, arcs):
         """Reidemeister move: delete the crossings and the arcs between them.

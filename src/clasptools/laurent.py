@@ -24,7 +24,7 @@ Exponents = Tuple[int, int]
 class LaurentPoly:
     """A Laurent polynomial sum of c * v^e_v * z^e_z with integer c."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Optional[Mapping[Exponents, int]] = None):
         t = {}
@@ -33,7 +33,6 @@ class LaurentPoly:
                 if c:
                     t[(int(ev), int(ez))] = int(c)
         self._terms = t
-        self._hash = None
 
     # -- constructors ------------------------------------------------
 
@@ -104,13 +103,11 @@ class LaurentPoly:
                 t.pop(k, None)
         out = LaurentPoly.__new__(LaurentPoly)
         out._terms = t
-        out._hash = None
         return out
 
     def __neg__(self) -> "LaurentPoly":
         out = LaurentPoly.__new__(LaurentPoly)
         out._terms = {k: -c for k, c in self._terms.items()}
-        out._hash = None
         return out
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -128,7 +125,6 @@ class LaurentPoly:
                     t.pop(k, None)
         out = LaurentPoly.__new__(LaurentPoly)
         out._terms = t
-        out._hash = None
         return out
 
     def __pow__(self, n: int) -> "LaurentPoly":
@@ -149,7 +145,6 @@ class LaurentPoly:
             return LaurentPoly.zero()
         out = LaurentPoly.__new__(LaurentPoly)
         out._terms = {(ev + dv, ez + dz): c * scale for (ev, ez), c in self._terms.items()}
-        out._hash = None
         return out
 
     # -- equality / hashing ------------------------------------------
@@ -160,9 +155,7 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     # -- substitutions ------------------------------------------------
 

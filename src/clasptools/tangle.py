@@ -261,11 +261,6 @@ def tangle_sum(a: Tangle, b: Tangle) -> Tangle:
     return _glue(a, b, "E")
 
 
-def tangle_product(a: Tangle, b: Tangle) -> Tangle:
-    """a stacked on top of b."""
-    return _glue(a, b, "S")
-
-
 def _twists(n: int, side: str, empty) -> Tangle:
     """|n| crossings glued in a line toward ``side``; ``empty`` pairs at n = 0."""
     if n == 0:

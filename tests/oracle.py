@@ -13,6 +13,9 @@ the restart scan (R1 scan, else R2 scan, from the lowest crossing after
 every move) as the reference for the one-pass move finder of
 ``Diagram.simplify``, and the all-pairs S3-S5 search as the reference for
 the open-book witness search, which tries one x image per cycle type.
+Last, ``pd_code_is_valid`` checks a PD code by trying every orientation
+of its over strands, as the reference for ``Diagram``'s one-pass sign
+inference and its dart-table planarity check.
 """
 
 from itertools import permutations, product
@@ -242,3 +245,88 @@ def nontriviality_witness_all_pairs(p):
                     return {"method": "homomorphism", "target": f"S{deg}",
                             "image_x": ix, "image_y": iy}
     return None
+
+
+# -- PD validity: every over-strand direction ------------------------------------
+
+def _faces_per_piece_ok(quads):
+    """V - E + F = 2 on every piece of crossings sharing an edge.
+
+    Faces are walked clockwise: from port p of crossing k, follow the
+    edge to its other end (j, r) and continue from port r - 1 of j.
+    """
+    n = len(quads)
+    ends = {}
+    for k, q in enumerate(quads):
+        for p, e in enumerate(q):
+            ends.setdefault(e, []).append((k, p))
+    piece = {k: {k} for k in range(n)}
+    for (j, _), (k, _) in ends.values():
+        if piece[j] is not piece[k]:
+            merged = piece[j] | piece[k]
+            for m in merged:
+                piece[m] = merged
+    faces = {}
+    seen = set()
+    for k in range(n):
+        for p in range(4):
+            if (k, p) in seen:
+                continue
+            key = min(piece[k])
+            faces[key] = faces.get(key, 0) + 1
+            cur = (k, p)
+            while cur not in seen:
+                seen.add(cur)
+                first, second = ends[quads[cur[0]][cur[1]]]
+                j, r = second if first == cur else first
+                cur = (j, (r - 1) % 4)
+    return all(faces[key] - len(piece[key]) == 2 for key in faces)
+
+
+def pd_code_is_valid(quads):
+    """Every crossing sign tuple under which ``quads`` is a valid PD code.
+
+    Empty when the code is invalid.  For each of the 2^n over-strand
+    directions, every label 1..2n must enter exactly one port (0 or the
+    over-in port) and leave exactly one (2 or the over-out port); each
+    component, followed from its least label, must run through
+    consecutive labels back to it; and the code must be planar.
+    """
+    n = len(quads)
+    if any(len(q) != 4 for q in quads) or not _labels_twice(quads):
+        return []
+    if not _faces_per_piece_ok(quads):
+        return []
+    valid = []
+    for signs in product((1, -1), repeat=n):
+        head, tail = {}, {}
+        for k, (q, s) in enumerate(zip(quads, signs)):
+            oi, oo = (1, 3) if s > 0 else (3, 1)
+            for ends, p in ((head, 0), (head, oi), (tail, 2), (tail, oo)):
+                ends.setdefault(q[p], []).append((k, p))
+        if any(len(head.get(e, ())) != 1 or len(tail.get(e, ())) != 1
+               for e in range(1, 2 * n + 1)):
+            continue
+        if all(_consecutive_from(m, quads, head) for m in range(1, 2 * n + 1)):
+            valid.append(signs)
+    return valid
+
+
+def _labels_twice(quads):
+    labels = [e for q in quads for e in q]
+    return sorted(labels) == sorted(list(range(1, 2 * len(quads) + 1)) * 2)
+
+
+def _consecutive_from(m, quads, head):
+    """The walk from edge m returns to the least label of its component
+    through consecutive labels, or m is not that least label."""
+    cycle = [m]
+    while True:
+        (k, p), = head[cycle[-1]]
+        nxt = quads[k][(p + 2) % 4]
+        if nxt == m:
+            break
+        cycle.append(nxt)
+    if min(cycle) != m:
+        return True
+    return cycle == list(range(m, m + len(cycle)))

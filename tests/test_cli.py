@@ -79,10 +79,28 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
         code, out, err = run(capsys, "openbook", f"--triple={triple}")
         assert code == EXIT_ERROR and out == ""
         assert err == "error: --triple takes three integers a,b,c\n"
+    # Usage errors exit 1: exit 2 names an unknown census name.
+    code, out, err = run(capsys, "--jobs=2", "invariants", "3_1")
+    assert code == EXIT_ERROR and out == ""
+    assert "unrecognized arguments: --jobs=2" in err
+    code, out, err = run(capsys, "invariants")
+    assert code == EXIT_ERROR and "required: knot" in err
+    # A data file that cannot be read is an error naming it, not a traceback.
+    for flag, argv, kind in (("--census", ["invariants", "3_1"], "census"),
+                             ("--exceptional", ["catalog"], "exceptional")):
+        code, out, err = run(capsys, flag, str(tmp_path), *argv)
+        assert code == EXIT_ERROR and out == ""
+        assert err.startswith(f"error: cannot read {kind} file {tmp_path}: ")
+    latin1 = tmp_path / "latin1.tsv"
+    latin1.write_bytes(b"3_1\xff\tPD[]\n")
+    for flag, kind in (("--census", "census file"), ("--config", "config")):
+        code, out, err = run(capsys, flag, str(latin1), "invariants", "3_1")
+        assert code == EXIT_ERROR and out == ""
+        assert err.startswith(f"error: cannot read {kind} {latin1}: 'utf-8' codec")
     with pytest.raises(SystemExit) as exc:
-        main(["--jobs=2", "invariants", "3_1"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --jobs=2" in capsys.readouterr().err
+        main(["--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
 
     def broken(*args, **kwargs):
         raise KeyError("internal")

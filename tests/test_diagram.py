@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clasptools.census import load_census
@@ -10,7 +10,7 @@ from clasptools.diagram import Diagram, DiagramError, _Builder, parse_pd
 from clasptools.skein import SkeinEngine
 from clasptools.tangle import closed_braid
 
-from oracle import canonical_code_bruteforce, simplify_restart_scan
+from oracle import canonical_code_bruteforce, pd_code_is_valid, simplify_restart_scan
 
 TREFOIL = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
 FIG8 = "PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]"
@@ -43,13 +43,20 @@ def test_degenerate_kinks_are_accepted():
 def test_parse_errors():
     with pytest.raises(DiagramError):
         parse_pd("PD[X[1,2,3]]")
-    with pytest.raises(DiagramError):
+    with pytest.raises(DiagramError, match=r"^edge labels \[1, 2\] do not appear exactly twice$"):
         parse_pd("PD[X[1,1,1,2]]")  # label 1 thrice
     with pytest.raises(DiagramError):
         parse_pd("PD[X[1,2,4,3],X[3,4,2,1]]")  # no consistent orientation
-    with pytest.raises(DiagramError):
-        # A one-edge loop through a crossing's over strand: not planar.
+    with pytest.raises(DiagramError, match="^not a planar diagram"):
+        # A one-edge loop through a crossing's over strand separates its two
+        # under ports: not planar.
         parse_pd("PD[X[1,2,1,2]]")
+    with pytest.raises(DiagramError, match=r"^edge label 0 outside 1\.\.2$"):
+        parse_pd("PD[X[0,0,0,0]]")
+    for code in ("PD[U,]", "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3],]", "PD[,]"):
+        # Every comma must be followed by a token.
+        with pytest.raises(DiagramError):
+            parse_pd(code)
     for code in ("PD[X[3,2,1,1],X[4,2,4,3]]", "PD[X[3,1,4,2],X[4,2,3,1]]"):
         # Two crossings, four edges and two faces: V - E + F = 0, not 2.
         with pytest.raises(DiagramError, match="not a planar diagram"):
@@ -62,6 +69,32 @@ def test_parse_errors():
         parse_pd("PD[X[1,3,2,4],X[1,4,2,3]]")
     with pytest.raises(DiagramError, match="^edge 2 leaves two different crossings$"):
         parse_pd("PD[X[1,1,2,3],X[4,4,2,3]]")
+
+
+@st.composite
+def random_codes(draw):
+    """1-4 crossings, each label 1..2n placed twice; sometimes one bad label."""
+    n = draw(st.integers(1, 4))
+    labels = draw(st.permutations([e for e in range(1, 2 * n + 1) for _ in range(2)]))
+    if draw(st.booleans()):
+        labels[draw(st.integers(0, 4 * n - 1))] = draw(st.integers(0, 2 * n + 1))
+    return [tuple(labels[4 * k:4 * k + 4]) for k in range(n)]
+
+
+@given(random_codes())
+@example([(2, 4, 1, 3), (1, 4, 2, 3)])  # a split over component: both directions valid
+@example([(1, 2, 1, 2)])  # a one-edge over loop: not planar
+@settings(max_examples=400, deadline=None)
+def test_parse_pd_accepts_what_the_oracle_accepts(quads):
+    # The oracle tries every over-strand direction; parse_pd infers one.
+    valid = pd_code_is_valid(quads)
+    text = "PD[" + ",".join("X[%d,%d,%d,%d]" % q for q in quads) + "]"
+    try:
+        d = parse_pd(text)
+    except DiagramError:
+        assert not valid
+    else:
+        assert d.signs in valid
 
 
 def test_split_over_component_orientation_rule():
