@@ -200,9 +200,8 @@ class Diagram:
             return other
         if other.num_crossings == 0:
             return self
-        b = _Builder.from_diagram(self)
-        arc_offset, _ = b.absorb(other)
-        b.cross_join(1, arc_offset + 1)
+        b = _Builder.from_diagram(self.disjoint_union(other))
+        b.cross_join(1, self.num_edges + 1)
         return b.to_diagram()
 
     def reverse_components(self, which) -> "Diagram":
@@ -263,10 +262,13 @@ class Diagram:
         return b.to_diagram()
 
     def disjoint_union(self, other: "Diagram") -> "Diagram":
-        """Distant union (no band): components of both, nothing joined."""
-        b = _Builder.from_diagram(self)
-        b.absorb(other)
-        return b.to_diagram()
+        """Distant union (no band): components of both, nothing joined.
+
+        Other's labels are shifted past self's, so self keeps its labels.
+        """
+        shift = self.num_edges
+        quads = self.crossings + tuple(tuple(e + shift for e in q) for q in other.crossings)
+        return _by_under_in(quads, self.signs + other.signs, self.free_loops + other.free_loops)
 
     def simplify(self) -> "Diagram":
         """Exhaustively apply crossing-decreasing Reidemeister I/II moves.
@@ -458,6 +460,8 @@ def parse_pd(text: str) -> Diagram:
         if body[pos] != ",":
             raise DiagramError(f"expected ',' at {body[pos:pos+20]!r}")
         pos += 1
+        if pos == len(body):
+            raise DiagramError("PD code ends with ','")
     return Diagram(quads, free_loops=loops)
 
 
@@ -482,14 +486,33 @@ def _dart_table(quads: Tuple[Quad, ...]) -> List[List[int]]:
     return darts
 
 
+def _faces(other, darts):
+    """Faces as lists of darts: the orbits of d -> the counterclockwise
+    neighbour of ``other[d]``, the dart at the far end of d's edge (dart
+    4k + s turns to 4k + (s + 1) % 4).  An orbit starts at each unvisited
+    dart in the order of ``darts``; ``other`` is a list or a dict.
+    """
+    seen = set()
+    for start in darts:
+        if start in seen:
+            continue
+        face = []
+        d = start
+        while d not in seen:
+            seen.add(d)
+            face.append(d)
+            o = other[d]
+            d = o - o % 4 + (o + 1) % 4
+        yield face
+
+
 def _check_planar(darts: List[List[int]], n: int):
     """Require V - E + F = 2 on every connected piece of the n crossings.
 
-    The faces are the orbits of dart -> the counterclockwise neighbour of
-    its edge's other end (the rule of ``tangle.tangle_faces``).  A piece of
-    m crossings has 2m edges, so V - E + F is its face count minus m.  The
-    pieces come from a union-find whose roots are their least crossings,
-    and the first piece that fails is reported.
+    The faces come from ``_faces``.  A piece of m crossings has 2m edges,
+    so V - E + F is its face count minus m.  The pieces come from a
+    union-find whose roots are their least crossings, and the first piece
+    that fails is reported.
     """
     other = [0] * (4 * n)
     piece = list(range(n))
@@ -506,16 +529,8 @@ def _check_planar(darts: List[List[int]], n: int):
     euler = [0] * n  # piece root -> V - E + F
     for k in range(n):
         euler[root(k)] -= 1
-    seen = [False] * (4 * n)
-    for start in range(4 * n):
-        if seen[start]:
-            continue
-        euler[root(start // 4)] += 1
-        d = start
-        while not seen[d]:
-            seen[d] = True
-            o = other[d]
-            d = o - o % 4 + (o + 1) % 4
+    for face in _faces(other, range(4 * n)):
+        euler[root(face[0] // 4)] += 1
     for k in range(n):
         if piece[k] == k and euler[k] != 2:
             raise DiagramError(f"not a planar diagram: V - E + F = {euler[k]}, not 2")
@@ -670,20 +685,6 @@ class _Builder:
             del self.cr[k]
         for x, y in joins:
             self.splice(x, y)
-
-    def absorb(self, d: Diagram) -> Tuple[int, int]:
-        """Add a disjoint copy of d; returns (arc id offset, crossing offset)."""
-        arc_off = max(max(self.head, default=0), max(self.alias, default=0))
-        cr_off = max(self.cr, default=-1) + 1
-        other = _Builder.from_diagram(d)
-        for k, (ports, s) in other.cr.items():
-            self.cr[cr_off + k] = ([p + arc_off for p in ports], s)
-        for aid in other.head:
-            (tk, tp), (hk, hp) = other.tail[aid], other.head[aid]
-            self.tail[aid + arc_off] = (tk + cr_off, tp)
-            self.head[aid + arc_off] = (hk + cr_off, hp)
-        self.free_loops += other.free_loops
-        return arc_off, cr_off
 
     def cross_join(self, a: int, b: int):
         """Cut arcs a and b and cross-rejoin (tail_a -> head_b, tail_b -> head_a)."""

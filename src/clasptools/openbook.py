@@ -21,7 +21,15 @@ orders p <= q <= r have p >= 2 and 1/p + 1/q + 1/r <= 1 (Coxeter & Moser,
 *Generators and Relations for Discrete Groups*, ch. 4), so pi1 is
 infinite and no budget lets the coset table close.  Those triples go
 straight to the witness search and keep the `exhausted` certificate
-they would get after a run, so every output is unchanged.
+they would get after a run.
+
+No relator is longer than 90 letters, whatever the exponents.  With the
+smallest order |a| <= 1, pi1 is cyclic (a = 0 gives Z/b * Z/c, and
+a = +-1 writes y as a power of x), so H1 = 1 makes it trivial and coset
+enumeration runs on < x, y | x, y >.  With |a| >= 2, a finite von Dyck
+quotient and H1 = 1 leave only (2, 3, <= 5).  The witness search reduces
+each exponent into [-29, 30]: every element of S3, S4 and S5 has order
+dividing 60, so the same pairs kill the relators.
 
 The search tries one x image per cycle type and every y image.  A pair
 conjugated by any permutation still kills the relators, so it returns the
@@ -299,19 +307,21 @@ def _decide(t: OpenBookTriple, max_cosets: int) -> Tuple[str, Dict[str, object]]
     """Verdict and certificate for a normalized triple.
 
     H1 first, from the triple; then Todd-Coxeter, unless the von Dyck
-    quotient is infinite, where no run within any budget could finish;
-    then a witness.  Only the last two need the presentation.
+    quotient is infinite, where no run within any budget could finish, on
+    < x, y | x, y > when |a| <= 1 (pi1 is cyclic); then a witness, with the
+    exponents reduced modulo 60.  Words stay short (module docstring).
     """
     h1 = h1_order(t)
     if h1 != 1:
         return "nontrivial-pi1", {"method": "abelianization", "h1_order": h1}
-    pres = pi1_presentation(t)
     if not _von_dyck_infinite(t):
+        pres = Presentation(((1,), (2,))) if abs(t.a) <= 1 else pi1_presentation(t)
         order = todd_coxeter(pres, max_cosets)
         if order is not None:
             verdict = "trivial-pi1" if order == 1 else "nontrivial-pi1"
             return verdict, {"method": "todd-coxeter", "group_order": order}
-    witness = nontriviality_witness(pres)
+    reduced = OpenBookTriple(*((n + 29) % 60 - 29 for n in t.as_tuple()))
+    witness = nontriviality_witness(pi1_presentation(reduced))
     if witness is not None:
         return "nontrivial-pi1", witness
     return "inconclusive", {"method": "exhausted", "max_cosets": max_cosets}

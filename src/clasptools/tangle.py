@@ -18,6 +18,10 @@ K(-2/3, inf, -2/3) is the connected sum of two *positive* trefoils, the
 chirality stated alongside the classification; the audit lives in the
 test suite.
 
+Tangle ends are ints numbered like the darts of ``diagram``: dart 4c + s
+is slot s of crossing c, and boundary end i is -1 - i.  Faces come from
+the walk that checks a PD code's planarity.
+
 Orientation of closures is assigned by component tracing from the
 lowest-numbered strand end; multi-component closures are returned as
 ordinary diagrams and callers that need knots must check.
@@ -31,9 +35,9 @@ from functools import reduce
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .diagram import Diagram, _by_under_in
+from .diagram import Diagram, _by_under_in, _faces
 
-End = Tuple  # ("x", crossing_id, slot) or ("b", end_id)
+End = int  # dart 4c + s (slot s of crossing c), or boundary end -1 - i
 
 
 @dataclass(frozen=True)
@@ -151,9 +155,11 @@ class Tangle:
     """A 4-ended unoriented tangle fragment.
 
     Crossings have slots 0..3 in counterclockwise order; the strand
-    through slots (0, 2) passes under the strand through (1, 3).  ``pair``
-    is the strand involution on crossing slots and boundary ends; the
-    four open boundary ends are named NW, NE, SW, SE.
+    through slots (0, 2) passes under the strand through (1, 3).  An end
+    is dart 4c + s (slot s of crossing c, so its strand partner across
+    the crossing is ``d ^ 2``) or boundary end -1 - i.  ``pair`` is the
+    arc involution on ends; ``boundary`` names the four open boundary
+    ends NW, NE, SW, SE.
     """
 
     def __init__(self):
@@ -164,9 +170,8 @@ class Tangle:
         self._next_end = 0
 
     def _new_end(self) -> End:
-        e = ("b", self._next_end)
         self._next_end += 1
-        return e
+        return -self._next_end
 
     def _join(self, x: End, y: End):
         self.pair[x] = y
@@ -183,13 +188,11 @@ class Tangle:
 
     def _absorb(self, other: "Tangle") -> Dict[str, End]:
         """Add a disjoint copy of other; returns its boundary-end map."""
-        coff = self.num_crossings
+        doff = 4 * self.num_crossings
         eoff = self._next_end
 
         def shift(e: End) -> End:
-            if e[0] == "x":
-                return ("x", e[1] + coff, e[2])
-            return ("b", e[1] + eoff)
+            return e + doff if e >= 0 else e - eoff
 
         for x, y in other.pair.items():
             self.pair[shift(x)] = shift(y)
@@ -231,7 +234,7 @@ _GLUE = {
 
 
 def _tangle(pairs, num_crossings: int = 0) -> Tangle:
-    """A fresh tangle joining ``pairs`` of compass tags or crossing slots."""
+    """A fresh tangle joining ``pairs`` of compass tags or darts."""
     t = Tangle()
     t.num_crossings = num_crossings
     t.boundary = {tag: t._new_end() for tag in ("NW", "NE", "SW", "SE")}
@@ -265,7 +268,7 @@ def _twists(n: int, side: str, empty) -> Tangle:
     """|n| crossings glued in a line toward ``side``; ``empty`` pairs at n = 0."""
     if n == 0:
         return _tangle(empty)
-    cross = _tangle([(tag, ("x", 0, s)) for tag, s in _SLOTS["A" if n > 0 else "B"].items()], 1)
+    cross = _tangle(_SLOTS["A" if n > 0 else "B"].items(), 1)
     t = cross
     for _ in range(abs(n) - 1):
         t = _glue(t, cross, side)
@@ -307,68 +310,42 @@ def closure(t: Tangle) -> Diagram:
 
 
 def tangle_faces(t: Tangle) -> List[Tuple[End, ...]]:
-    """Faces of a closed tangle as orbits of next = ccw-rotate(other end).
-
-    Each dart is a crossing slot; a face orbit lists the darts whose arcs
-    bound it, in boundary order.
+    """Faces of a closed tangle: tuples of the darts 4c + s whose arcs bound
+    them, in boundary order, from ``diagram._faces`` over the sorted darts.
     """
-    for e in t.pair:
-        if e[0] != "x":
-            raise ValueError("faces are defined for closed tangles")
-    darts = sorted(t.pair)
-    nxt = {}
-    for d in darts:
-        _, c, s = t.pair[d]
-        nxt[d] = ("x", c, (s + 1) % 4)
-    faces = []
-    seen = set()
-    for d0 in darts:
-        if d0 in seen:
-            continue
-        cyc = []
-        d = d0
-        while d not in seen:
-            seen.add(d)
-            cyc.append(d)
-            d = nxt[d]
-        faces.append(tuple(cyc))
-    return faces
+    if any(e < 0 for e in t.pair):
+        raise ValueError("faces are defined for closed tangles")
+    return [tuple(f) for f in _faces(t.pair, sorted(t.pair))]
 
 
-def insert_clasp(t: Tangle, dart_a: End, dart_b: End, sign: int, flip: bool = False) -> Tangle:
+def insert_clasp(t: Tangle, dart_a: End, dart_b: End, sign: int) -> Tangle:
     """Insert a two-crossing clasp joining the arcs of two darts of one face.
 
-    The darts select the arc sides facing the face; the clasp is the
-    [+-2] horizontal twist block laid across it, fusing the two strands.
-    ``flip`` swaps the attachment order on the second arc (the two planar
-    embeddings of the band).
+    The darts are ints 4c + s from ``tangle_faces``; dart d names the arc
+    d -> ``t.pair[d]``, which the face walk traverses with the face on its
+    right.  The clasp is the [+-2] horizontal twist block laid in the face,
+    west flank on arc a and east flank on arc b, fusing the two strands.
+    Clockwise around the face the cut ends come as a1, a2, b1, b2, and the
+    block's ends SW, NW, NE, SE take them in that order: the one planar way.
     """
     out = t.copy()
     a1, a2 = dart_a, out.pair[dart_a]
     b1, b2 = dart_b, out.pair[dart_b]
     if {a1, a2} == {b1, b2}:
         raise ValueError("clasp needs two distinct arcs")
-    block = horizontal_twists(2 * sign)
-    bmap = out._absorb(block)
-    del out.pair[a1]
-    del out.pair[a2]
-    del out.pair[b1]
-    del out.pair[b2]
-    if flip:
-        b1, b2 = b2, b1
-    # West flank of the block to the a-arc halves, east flank to b's.
-    for end_tag, cut in (("NW", a1), ("SW", a2), ("NE", b1), ("SE", b2)):
-        tgt = out.pair.pop(bmap[end_tag])
-        out._join(cut, tgt)
+    bmap = out._absorb(horizontal_twists(2 * sign))
+    for cut in (a1, a2, b1, b2):
+        del out.pair[cut]
+    for end_tag, cut in (("SW", a1), ("NW", a2), ("NE", b1), ("SE", b2)):
+        out._join(cut, out.pair.pop(bmap[end_tag]))
     out.boundary = {}
     return out
 
 
 def _emit(t: Tangle) -> Diagram:
     """Orient a closed tangle by component tracing and emit a PD diagram."""
-    for e in t.pair:
-        if e[0] != "x":
-            raise ValueError("tangle still has open boundary ends")
+    if any(e < 0 for e in t.pair):
+        raise ValueError("tangle still has open boundary ends")
     label_at: Dict[End, int] = {}
     heads: List[List[int]] = [[] for _ in range(t.num_crossings)]  # in-slots
     nxt = 1
@@ -382,18 +359,17 @@ def _emit(t: Tangle) -> Diagram:
             far = t.pair[cur]
             label_at[cur] = label_at[far] = nxt
             nxt += 1
-            _, c, s = far
-            heads[c].append(s)
-            cur = ("x", c, (s + 2) % 4)
+            heads[far // 4].append(far % 4)
+            cur = far ^ 2
             if cur == start:
                 break
     quads = []
     signs = []
     for c, slots in enumerate(heads):
-        if sorted(s % 2 for s in slots) != [0, 1]:
-            raise ValueError("inconsistent orientation at a crossing")
+        # Every arc is walked once, so the trace enters each crossing once
+        # on the strand through slots 0/2 and once on the one through 1/3.
         u, o = sorted(slots, key=lambda s: s % 2)
-        quads.append(tuple(label_at[("x", c, (u + i) % 4)] for i in range(4)))
+        quads.append(tuple(label_at[4 * c + (u + i) % 4] for i in range(4)))
         signs.append(1 if o == (u + 1) % 4 else -1)
     return _by_under_in(quads, signs, t.loops)
 
@@ -414,8 +390,10 @@ def closed_braid(word: Sequence[int], n_strands: int, axis: Optional[str] = None
     With ``axis="over-first"`` a ring is threaded around the closure
     arcs: it runs over every strand on the front pass and back under all
     of them, i.e. the braid axis.  Positions never used by the word close
-    into split unknot components.
+    into split unknot components.  Raises ValueError when n_strands < 1.
     """
+    if n_strands < 1:
+        raise ValueError("n_strands must be >= 1")
     if any(g == 0 or abs(g) >= n_strands for g in word):
         raise ValueError("braid letters must be nonzero and < n_strands")
     t = Tangle()
@@ -429,13 +407,13 @@ def closed_braid(word: Sequence[int], n_strands: int, axis: Optional[str] = None
         c = t.num_crossings
         t.num_crossings += 1
         for pos, tag in ((i, "NW"), (i + 1, "NE")):
-            end = ("x", c, slots[tag])
+            end = 4 * c + slots[tag]
             if cur[pos] is None:
                 first_in[pos] = end
             else:
                 t._join(cur[pos], end)
-        cur[i] = ("x", c, slots["SW"])
-        cur[i + 1] = ("x", c, slots["SE"])
+        cur[i] = 4 * c + slots["SW"]
+        cur[i + 1] = 4 * c + slots["SE"]
 
     if axis is None:
         for j in range(n_strands):
@@ -450,25 +428,22 @@ def closed_braid(word: Sequence[int], n_strands: int, axis: Optional[str] = None
     # Thread the closure arcs through the axis ring: front crossings
     # (ring over, strand through slots 0/2) then back crossings (ring
     # under).  Front: slots (N, W, S, E) = (0, 1, 2, 3); back: (E, N, W, S).
-    fronts, backs = [], []
-    for j in range(n_strands):
-        f = t.num_crossings
-        t.num_crossings += 1
-        fronts.append(f)
-        b = t.num_crossings
-        t.num_crossings += 1
-        backs.append(b)
-        t._join(("x", f, 2), ("x", b, 1))
+    # ``fronts`` and ``backs`` hold each crossing's dart 4c + 0.
+    fronts = [4 * (t.num_crossings + 2 * j) for j in range(n_strands)]
+    backs = [f + 4 for f in fronts]
+    t.num_crossings += 2 * n_strands
+    for j, (f, b) in enumerate(zip(fronts, backs)):
+        t._join(f + 2, b + 1)
         if first_in[j] is None:
-            t._join(("x", b, 3), ("x", f, 0))  # untouched position: bare ring pass
+            t._join(b + 3, f)  # untouched position: bare ring pass
         else:
-            t._join(cur[j], ("x", f, 0))
-            t._join(("x", b, 3), first_in[j])
+            t._join(cur[j], f)
+            t._join(b + 3, first_in[j])
     for k in range(n_strands - 1):
-        t._join(("x", fronts[k], 3), ("x", fronts[k + 1], 1))
-        t._join(("x", backs[k + 1], 2), ("x", backs[k], 0))
-    t._join(("x", fronts[-1], 3), ("x", backs[-1], 0))
-    t._join(("x", backs[0], 2), ("x", fronts[0], 1))
+        t._join(fronts[k] + 3, fronts[k + 1] + 1)
+        t._join(backs[k + 1] + 2, backs[k])
+    t._join(fronts[-1] + 3, backs[-1])
+    t._join(backs[0] + 2, fronts[0] + 1)
     return _emit(t)
 
 

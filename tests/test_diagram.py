@@ -53,10 +53,12 @@ def test_parse_errors():
         parse_pd("PD[X[1,2,1,2]]")
     with pytest.raises(DiagramError, match=r"^edge label 0 outside 1\.\.2$"):
         parse_pd("PD[X[0,0,0,0]]")
-    for code in ("PD[U,]", "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3],]", "PD[,]"):
-        # Every comma must be followed by a token.
-        with pytest.raises(DiagramError):
+    for code in ("PD[U,]", "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3],]"):
+        # Every comma must be followed by a token; a trailing one is named.
+        with pytest.raises(DiagramError, match=r"^PD code ends with ','$"):
             parse_pd(code)
+    with pytest.raises(DiagramError, match=r"^bad PD token at ','$"):
+        parse_pd("PD[,]")
     for code in ("PD[X[3,2,1,1],X[4,2,4,3]]", "PD[X[3,1,4,2],X[4,2,3,1]]"):
         # Two crossings, four edges and two faces: V - E + F = 0, not 2.
         with pytest.raises(DiagramError, match="not a planar diagram"):

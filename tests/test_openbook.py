@@ -282,3 +282,42 @@ def test_scan8_certificates():
             assert cert["image_x"] == (1, 2, 3, 4, 0)
             assert cert["image_y"] == (0, 2, 1, 4, 3)
     assert sorted(by_method["exhausted"]) == [(-3, 5, 7), (-2, 3, 7), (2, -3, -7), (3, -5, -7)]
+
+
+def test_witness_search_on_reduced_exponents():
+    # Exponents reduced into [-29, 30] give the first pair of the
+    # full-word search, found or not.
+    for t in ((30, -31, -931), (21, -34, -55), (28, -55, -57), (-32, 63, 65)):
+        norm = OpenBookTriple(*t).sorted_by_magnitude()
+        full = nontriviality_witness(pi1_presentation(norm))
+        expect = full or {"method": "exhausted", "max_cosets": 20000}
+        assert classify_triple(OpenBookTriple(*t)).certificate == expect, t
+    assert classify_triple(OpenBookTriple(21, -34, -55)).certificate["target"] == "S5"
+
+
+def test_openbook_words_stay_short(monkeypatch):
+    real_power = openbook.power
+    lengths = []
+
+    def short_power(word, n):
+        assert len(word) * abs(n) <= 90, (word, n)
+        return real_power(word, n)
+
+    def recording(fn):
+        def wrapped(p, *args):
+            lengths.extend(map(len, p.relators))
+            return fn(p, *args)
+        return wrapped
+
+    monkeypatch.setattr(openbook, "power", short_power)
+    monkeypatch.setattr(openbook, "todd_coxeter", recording(openbook.todd_coxeter))
+    monkeypatch.setattr(openbook, "nontriviality_witness", recording(openbook.nontriviality_witness))
+    # (1, -1, n) has |a| = 1, so pi1 is cyclic of order H1 = 1, decided
+    # without the n-letter relator.
+    v = classify_triple(OpenBookTriple(1, -1, 10**8))
+    assert v.verdict == "trivial-pi1"
+    assert v.certificate == {"method": "todd-coxeter", "group_order": 1}
+    for t in ((0, 1, -1), (-1, 1, 5000), (300, -301, -90301), (3000, -3001, -9003001),
+              (30, -31, -931), (-2, 3, 5), (2, -3, -7)):
+        classify_triple(OpenBookTriple(*t))
+    assert lengths and max(lengths) <= 90

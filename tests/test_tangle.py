@@ -1,7 +1,8 @@
 from fractions import Fraction
+from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clasptools.census import load_census
@@ -11,19 +12,26 @@ from clasptools.skein import SkeinEngine
 from clasptools.tangle import (
     ExtendedRational,
     MontesinosDesc,
+    _emit,
     closed_braid,
     closure,
+    closure_tangle,
     continued_fraction,
     evaluate_continued_fraction,
     horizontal_twists,
+    insert_clasp,
     montesinos_diagram,
     montesinos_equivalent,
     pretzel_diagram,
     rational_tangle,
+    tangle_faces,
+    tangle_sum,
     theorem1_catalog,
     two_bridge_diagram,
     vertical_twists,
 )
+
+from oracle import pd_code_is_valid
 
 eng = SkeinEngine()
 
@@ -199,6 +207,9 @@ def test_closed_braid():
     assert spare.num_components == 2 and spare.free_loops == 1
     with pytest.raises(ValueError):
         closed_braid([3], 3)
+    for axis in (None, "over-first"):
+        with pytest.raises(ValueError, match="^n_strands must be >= 1$"):
+            closed_braid([], 0, axis=axis)
 
 
 def test_closed_braid_axis():
@@ -243,7 +254,7 @@ def test_insert_clasp_fuses_components():
             comp[cur] = cid
             far = t.pair[cur]
             comp[far] = cid
-            cur = ("x", far[1], (far[2] + 2) % 4)
+            cur = far ^ 2
         cid += 1
     for f in tangle_faces(t):
         pairs = [
@@ -279,7 +290,7 @@ def _clasped():
     t = closure_tangle(
         tangle_sum(tangle_sum(vertical_twists(-2), vertical_twists(0)), vertical_twists(-2))
     )
-    return _emit(insert_clasp(t, ("x", 0, 3), ("x", 2, 1), -1, flip=True))
+    return _emit(insert_clasp(t, 3, 9, -1))
 
 
 @pytest.mark.parametrize(
@@ -311,7 +322,7 @@ def _clasped():
         ),
         (
             _clasped,
-            "PD[X[2,12,1,3],X[3,1,4,2],X[5,9,6,8],X[7,11,8,10],X[9,5,10,4],X[11,7,12,6]]",
+            "PD[X[2,12,1,3],X[3,1,4,2],X[5,9,6,8],X[6,12,7,11],X[9,5,10,4],X[10,8,11,7]]",
         ),
     ],
     ids=["two_bridge_11_4", "montesinos", "pretzel", "braid", "braid_axis", "clasp"],
@@ -319,4 +330,66 @@ def _clasped():
 def test_tangle_pd_text_pinned(build, text):
     # Crossing numbers follow construction order, so this text pins the
     # gluing order, the slot convention and the component walk.
-    assert build().pd_text() == text
+    d = build()
+    assert d.pd_text() == text
+    assert parse_pd(text) == d
+
+
+small_rationals = st.sampled_from(
+    ["inf", "0", "1", "-1", "2", "-2", "1/2", "-1/2", "1/3", "-1/3", "2/3", "-2/3", "3/2"]
+).map(ExtendedRational.parse)
+
+
+@st.composite
+def constructions(draw):
+    """A diagram from one of the constructions of this module."""
+    kind = draw(st.sampled_from(["montesinos", "pretzel", "braid", "braid axis", "clasp"]))
+    if kind == "montesinos":
+        return montesinos_diagram(MontesinosDesc.of(*draw(st.lists(small_rationals, min_size=3, max_size=3))))
+    if kind == "pretzel":
+        return pretzel_diagram(*draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4)))
+    if kind.startswith("braid"):
+        n = draw(st.integers(1, 4))
+        letters = [g for g in range(1 - n, n) if g]
+        word = draw(st.lists(st.sampled_from(letters), max_size=6)) if letters else []
+        return closed_braid(word, n, axis="over-first" if kind == "braid axis" else None)
+    parts = draw(st.lists(small_rationals, min_size=1, max_size=3))
+    t = closure_tangle(reduce(tangle_sum, map(rational_tangle, parts)))
+    # Two darts of one face on distinct arcs.
+    choices = [
+        (da, db)
+        for f in tangle_faces(t)
+        for i, da in enumerate(f)
+        for db in f[i + 1:]
+        if db not in (da, t.pair[da])
+    ]
+    assume(choices)
+    da, db = draw(st.sampled_from(choices))
+    return _emit(insert_clasp(t, da, db, draw(st.sampled_from([1, -1]))))
+
+
+def _split_over_crossings(d):
+    """Crossings of a two-edge component that is over at both of them."""
+    out = set()
+    for comp in d.components:
+        if len(comp) == 2:
+            ks = [k for k, q in enumerate(d.crossings) if set(comp) & set(q)]
+            if all(d.crossings[k][0] not in comp for k in ks):
+                out.update(ks)
+    return out
+
+
+@given(constructions())
+@settings(max_examples=300, deadline=None)
+def test_constructions_are_valid_pd_codes(d):
+    # An independent check of every construction: the oracle tries every
+    # over-strand direction, and the PD text reads back to the same link.
+    assume(d.num_crossings <= 8)
+    assert d.signs in pd_code_is_valid(d.crossings)
+    back = parse_pd(d.pd_text())
+    assert (back.crossings, back.components, back.free_loops) == (
+        d.crossings, d.components, d.free_loops)
+    # PD text leaves the direction of a split over component open.
+    exempt = _split_over_crossings(d)
+    assert [s for k, s in enumerate(back.signs) if k not in exempt] == [
+        s for k, s in enumerate(d.signs) if k not in exempt]
