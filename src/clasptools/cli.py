@@ -7,8 +7,7 @@ census name, 3 parse error, 4 node budget exceeded, 1 anything else
 (usage errors and unreadable data files included).
 
 A config file in ``key=value`` format can preload limits (node-budget,
-memo-capacity, bound, max-cosets, census, exceptional); command-line
-flags override it.
+memo-capacity, bound, census, exceptional); command-line flags override it.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ DEFAULTS = {
     "node-budget": 10_000_000,
     "memo-capacity": 1 << 20,
     "bound": 50,
-    "max-cosets": 20000,
     "census": None,
     "exceptional": None,
 }
@@ -161,7 +159,7 @@ def cmd_montesinos(args, cfg):
 
 def cmd_catalog(args, cfg):
     eng = _engine(cfg)
-    census = load_census(cfg["census"], engine=eng)
+    census = load_census(cfg["census"])
     exceptional = load_exceptional(cfg["exceptional"])
     entries = theorem1_catalog(args.n_bound, census=census, exceptional=exceptional)
     rows = []
@@ -186,7 +184,7 @@ def cmd_openbook(args, cfg):
             a, b, c = (int(x) for x in args.triple.split(","))
         except ValueError:
             raise ValueError("--triple takes three integers a,b,c") from None
-        v = classify_triple(OpenBookTriple(a, b, c), cfg["max-cosets"])
+        v = classify_triple(OpenBookTriple(a, b, c))
         print(json.dumps({
             "triple": v.triple,
             "normalized": v.normalized,
@@ -194,7 +192,7 @@ def cmd_openbook(args, cfg):
             "certificate": v.certificate,
         }, indent=2))
         return EXIT_OK
-    rows = s3_openbook_report(args.scan, cfg["max-cosets"])
+    rows = s3_openbook_report(args.scan)
     print(json.dumps(rows, indent=2))
     return EXIT_OK
 
@@ -208,7 +206,7 @@ def cmd_corollary12(args, cfg):
     to the invariants computed here.
     """
     eng = _engine(cfg)
-    census = load_census(cfg["census"], engine=eng)
+    census = load_census(cfg["census"])
     missing = [n for n in COROLLARY12_NAMES if n not in census]
     if missing:
         raise CensusError(

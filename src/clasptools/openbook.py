@@ -10,9 +10,9 @@ the order of H1 is |ab + bc + ca|, the determinant of the 2x2
 exponent-sum matrix, read off the triple before any word is built;
 Todd-Coxeter coset enumeration settles the finite cases, and an
 exhaustive search for a nontrivial map into S3, S4 or S5 certifies
-nontriviality when enumeration is cut off.  Every verdict carries a
-certificate; `inconclusive` is an honest possible outcome, never
-silently converted.
+nontriviality of the infinite ones.  Every verdict carries a
+certificate; `inconclusive`, when no such map exists, is an honest
+possible outcome, never silently converted.
 
 Coset enumeration is skipped where it cannot finish.  Adding x^b to the
 relators gives the von Dyck group D(|b|, |c|, |a|) = < x, y | x^b, y^c,
@@ -20,16 +20,19 @@ relators gives the von Dyck group D(|b|, |c|, |a|) = < x, y | x^b, y^c,
 orders p <= q <= r have p >= 2 and 1/p + 1/q + 1/r <= 1 (Coxeter & Moser,
 *Generators and Relations for Discrete Groups*, ch. 4), so pi1 is
 infinite and no budget lets the coset table close.  Those triples go
-straight to the witness search and keep the `exhausted` certificate
-they would get after a run.
+straight to the witness search; when it finds nothing, the certificate
+`{"method": "exhausted", "max_degree": 5}` names the search that ran out.
 
 No relator is longer than 90 letters, whatever the exponents.  With the
 smallest order |a| <= 1, pi1 is cyclic (a = 0 gives Z/b * Z/c, and
 a = +-1 writes y as a power of x), so H1 = 1 makes it trivial and coset
 enumeration runs on < x, y | x, y >.  With |a| >= 2, a finite von Dyck
-quotient and H1 = 1 leave only (2, 3, <= 5).  The witness search reduces
-each exponent into [-29, 30]: every element of S3, S4 and S5 has order
-dividing 60, so the same pairs kill the relators.
+quotient and H1 = 1 leave only (2, -3, -5) and (-2, 3, 5); for (2, 2, n),
+(2, 3, 3) and (2, 3, 4), |ab + bc + ca| is never 1.  So Todd-Coxeter sees
+three presentations, each closing within 1614 coset labels, far inside
+its default budget.  The witness search reduces each exponent into
+[-29, 30]: every element of S3, S4 and S5 has order dividing 60, so the
+same pairs kill the relators.
 
 The search tries one x image per cycle type and every y image.  A pair
 conjugated by any permutation still kills the relators, so it returns the
@@ -128,19 +131,20 @@ class CosetTableExhausted(Exception):
     pass
 
 
-def _check_max_cosets(max_cosets: int) -> None:
-    if max_cosets < 1:
-        raise ValueError(f"max_cosets must be >= 1, got {max_cosets}")
-
-
 def todd_coxeter(p: Presentation, max_cosets: int = 20000) -> Optional[int]:
     """Order of the presented group, or None when max_cosets is exhausted.
 
     Enumerates cosets of the trivial subgroup with the classic
     union-find/scan strategy; deterministic for a fixed presentation.
-    Raises ValueError when max_cosets < 1.
+
+    max_cosets caps the coset labels defined: a label is never reused
+    after a merge, so even < x, y | x, y > needs 3.  Each label keeps a
+    table row and costs a scan, so the cap bounds time and memory even on
+    an infinite group, where labels are defined without end; a cap on live
+    cosets would bound neither.  Raises ValueError when max_cosets < 1.
     """
-    _check_max_cosets(max_cosets)
+    if max_cosets < 1:
+        raise ValueError(f"max_cosets must be >= 1, got {max_cosets}")
     ngens = 4  # x, X, y, Y columns
     rels = []
     for rel in p.relators:
@@ -303,7 +307,7 @@ def _von_dyck_infinite(t: OpenBookTriple) -> bool:
     return p >= 2 and q * r + p * r + p * q <= p * q * r
 
 
-def _decide(t: OpenBookTriple, max_cosets: int) -> Tuple[str, Dict[str, object]]:
+def _decide(t: OpenBookTriple) -> Tuple[str, Dict[str, object]]:
     """Verdict and certificate for a normalized triple.
 
     H1 first, from the triple; then Todd-Coxeter, unless the von Dyck
@@ -316,7 +320,7 @@ def _decide(t: OpenBookTriple, max_cosets: int) -> Tuple[str, Dict[str, object]]
         return "nontrivial-pi1", {"method": "abelianization", "h1_order": h1}
     if not _von_dyck_infinite(t):
         pres = Presentation(((1,), (2,))) if abs(t.a) <= 1 else pi1_presentation(t)
-        order = todd_coxeter(pres, max_cosets)
+        order = todd_coxeter(pres)
         if order is not None:
             verdict = "trivial-pi1" if order == 1 else "nontrivial-pi1"
             return verdict, {"method": "todd-coxeter", "group_order": order}
@@ -324,23 +328,19 @@ def _decide(t: OpenBookTriple, max_cosets: int) -> Tuple[str, Dict[str, object]]
     witness = nontriviality_witness(pi1_presentation(reduced))
     if witness is not None:
         return "nontrivial-pi1", witness
-    return "inconclusive", {"method": "exhausted", "max_cosets": max_cosets}
+    return "inconclusive", {"method": "exhausted", "max_degree": 5}
 
 
-def classify_triple(t: OpenBookTriple, max_cosets: int = 20000) -> Verdict:
+def classify_triple(t: OpenBookTriple) -> Verdict:
     """Decide whether pi1 of the (a, b, c) pants open book is trivial.
 
     Normalizes by the boundary-relabeling symmetry (sort by magnitude),
-    then: nontrivial abelianization => nontrivial; else Todd-Coxeter with
-    at most max_cosets cosets; if that exhausts, a homomorphism witness;
-    else inconclusive.  Triples whose von Dyck quotient is infinite skip
-    Todd-Coxeter, which would exhaust any budget on them, so they get the
-    same witness or `exhausted` certificate as before.  Raises ValueError
-    when max_cosets < 1.
+    then: nontrivial abelianization => nontrivial; else Todd-Coxeter,
+    where the von Dyck quotient is finite (it always closes there); else
+    a homomorphism witness into S3, S4 or S5; else inconclusive.
     """
-    _check_max_cosets(max_cosets)
     norm = t.sorted_by_magnitude()
-    verdict, cert = _decide(norm, max_cosets)
+    verdict, cert = _decide(norm)
     return Verdict(t.as_tuple(), norm.as_tuple(), verdict, cert)
 
 
@@ -372,11 +372,10 @@ def s3_fibered_link_name(triple: Tuple[int, int, int]) -> str:
     return name
 
 
-def s3_openbook_report(bound: int, max_cosets: int = 20000) -> List[dict]:
+def s3_openbook_report(bound: int) -> List[dict]:
     """Classify all |a| <= |b| <= |c| <= bound and name the trivial bindings.
 
-    Raises ValueError when bound < 1 or, through classify_triple, when
-    max_cosets < 1.
+    Raises ValueError when bound < 1.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -386,7 +385,7 @@ def s3_openbook_report(bound: int, max_cosets: int = 20000) -> List[dict]:
             for c in range(-bound, bound + 1):
                 if not (abs(a) <= abs(b) <= abs(c)):
                     continue
-                v = classify_triple(OpenBookTriple(a, b, c), max_cosets)
+                v = classify_triple(OpenBookTriple(a, b, c))
                 row = {
                     "triple": (a, b, c),
                     "verdict": v.verdict,

@@ -22,9 +22,9 @@ Tangle ends are ints numbered like the darts of ``diagram``: dart 4c + s
 is slot s of crossing c, and boundary end i is -1 - i.  Faces come from
 the walk that checks a PD code's planarity.
 
-Orientation of closures is assigned by component tracing from the
-lowest-numbered strand end; multi-component closures are returned as
-ordinary diagrams and callers that need knots must check.
+Closures are oriented by component tracing from the lowest-numbered
+strand end, closed braids down the braid; multi-component closures are
+returned as ordinary diagrams and callers that need knots must check.
 """
 
 from __future__ import annotations
@@ -342,8 +342,10 @@ def insert_clasp(t: Tangle, dart_a: End, dart_b: End, sign: int) -> Tangle:
     return out
 
 
-def _emit(t: Tangle) -> Diagram:
-    """Orient a closed tangle by component tracing and emit a PD diagram."""
+def _emit(t: Tangle, down: frozenset = frozenset()) -> Diagram:
+    """Orient a closed tangle by component tracing and emit a PD diagram;
+    a walk starts at its least dart, or at that dart's partner ``^ 2``
+    through the crossing when only the partner is in ``down``."""
     if any(e < 0 for e in t.pair):
         raise ValueError("tangle still has open boundary ends")
     label_at: Dict[End, int] = {}
@@ -352,6 +354,8 @@ def _emit(t: Tangle) -> Diagram:
     for start in sorted(t.pair):
         if start in label_at:
             continue
+        if start not in down and start ^ 2 in down:
+            start ^= 2
         # Walk the component: arc from cur to pair[cur], then through the
         # crossing to the opposite slot.
         cur = start
@@ -387,10 +391,10 @@ def pretzel_diagram(*twists: int) -> Diagram:
 def closed_braid(word: Sequence[int], n_strands: int, axis: Optional[str] = None) -> Diagram:
     """Closure of a braid word (nonzero ints, sign = crossing handedness).
 
-    With ``axis="over-first"`` a ring is threaded around the closure
-    arcs: it runs over every strand on the front pass and back under all
-    of them, i.e. the braid axis.  Positions never used by the word close
-    into split unknot components.  Raises ValueError when n_strands < 1.
+    Strands run down the braid.  With ``axis="over-first"`` a ring is
+    threaded around the closure arcs, over every strand on the front pass
+    and back under all of them: the braid axis.  Unused positions close
+    into split unknots.  Raises ValueError when n_strands < 1.
     """
     if n_strands < 1:
         raise ValueError("n_strands must be >= 1")
@@ -399,6 +403,7 @@ def closed_braid(word: Sequence[int], n_strands: int, axis: Optional[str] = None
     t = Tangle()
     cur: List[Optional[End]] = [None] * n_strands
     first_in: List[Optional[End]] = [None] * n_strands
+    down = set()  # darts that leave a crossing downwards
     for g in word:
         i = abs(g) - 1
         # sigma_i^+1: left strand passes over, as the SE-NW strand of
@@ -414,6 +419,7 @@ def closed_braid(word: Sequence[int], n_strands: int, axis: Optional[str] = None
                 t._join(cur[pos], end)
         cur[i] = 4 * c + slots["SW"]
         cur[i + 1] = 4 * c + slots["SE"]
+        down.update(cur[i:i + 2])
 
     if axis is None:
         for j in range(n_strands):
@@ -421,7 +427,7 @@ def closed_braid(word: Sequence[int], n_strands: int, axis: Optional[str] = None
                 t.loops += 1
             else:
                 t._join(cur[j], first_in[j])
-        return _emit(t)
+        return _emit(t, down)
     if axis != "over-first":
         raise ValueError("axis must be None or 'over-first'")
 
@@ -433,6 +439,7 @@ def closed_braid(word: Sequence[int], n_strands: int, axis: Optional[str] = None
     backs = [f + 4 for f in fronts]
     t.num_crossings += 2 * n_strands
     for j, (f, b) in enumerate(zip(fronts, backs)):
+        down.update((f + 2, b + 3))
         t._join(f + 2, b + 1)
         if first_in[j] is None:
             t._join(b + 3, f)  # untouched position: bare ring pass
@@ -444,7 +451,7 @@ def closed_braid(word: Sequence[int], n_strands: int, axis: Optional[str] = None
         t._join(backs[k + 1] + 2, backs[k])
     t._join(fronts[-1] + 3, backs[-1])
     t._join(backs[0] + 2, fronts[0] + 1)
-    return _emit(t)
+    return _emit(t, down)
 
 
 def two_bridge_diagram(r: ExtendedRational) -> Diagram:

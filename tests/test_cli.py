@@ -70,11 +70,11 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     assert code == EXIT_ERROR and out == ""
     assert err == f"error: exceptional file not found: {missing}\n"
     cfg = tmp_path / "clasptools.cfg"
-    cfg.write_text("max-cosets=-5\n")
+    cfg.write_text("max-cosets=-5\n")  # the open-book search has no budget
     for mode in ("--triple=-3,5,7", "--scan=1"):
         code, out, err = run(capsys, "--config", str(cfg), "openbook", mode)
         assert code == EXIT_ERROR and out == ""
-        assert "max_cosets must be >= 1, got -5" in err
+        assert err == f"error: {cfg}:1: unknown key 'max-cosets'\n"
     for triple in ("1,2", "1,2,3,4", "a,b,c"):
         code, out, err = run(capsys, "openbook", f"--triple={triple}")
         assert code == EXIT_ERROR and out == ""
@@ -225,6 +225,28 @@ def test_load_census_validation(tmp_path):
         load_census(str(bad))
 
 
+HOPF_PD = "PD[X[1,3,2,4],X[3,1,4,2]]"
+TREFOIL_PD = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
+
+
+def test_census_entries_must_be_knots(tmp_path, capsys):
+    f = tmp_path / "census.tsv"
+    f.write_text(f"3_1\t{TREFOIL_PD}\n# a link\nL2a1\t{HOPF_PD}\n")
+    with pytest.raises(CensusError) as err:
+        load_census(str(f))
+    assert str(err.value) == f"{f}:3: census entry 'L2a1' is not a knot"
+    code, out, err = run(capsys, "--census", str(f), "invariants", "3_1")
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"error: {f}:3: census entry 'L2a1' is not a knot\n"
+    f.write_text(f"Kex1\t1\t-1\t{TREFOIL_PD}\nL2a1\t1\t1\t{HOPF_PD}\n")
+    with pytest.raises(CensusError) as err:
+        load_exceptional(str(f))
+    assert str(err.value) == f"{f}:2: exceptional entry 'L2a1' is not a knot"
+    code, out, err = run(capsys, "--exceptional", str(f), "catalog")
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"error: {f}:2: exceptional entry 'L2a1' is not a knot\n"
+
+
 def test_load_exceptional_absent_and_valid(tmp_path):
     assert load_exceptional() == []  # the default file is not shipped
     with pytest.raises(CensusError, match="exceptional file not found"):
@@ -311,7 +333,8 @@ LINK3_STDOUT = (
 
 def test_one_skein_query_per_command(capsys, monkeypatch):
     """`invariants` and `montesinos` read Conway and p0 off one HOMFLY query,
-    and print what the three separate queries printed."""
+    and print what the three separate queries printed; loading the census
+    for a named knot makes no query."""
     calls = []
     for name in ("homfly", "conway", "p0"):
         original = getattr(SkeinEngine, name)
@@ -325,6 +348,7 @@ def test_one_skein_query_per_command(capsys, monkeypatch):
         (["invariants", T37_PD], T37_STDOUT),
         (["invariants", LINK3_PD], LINK3_STDOUT),
         (["montesinos", "--desc=-2/3,2,1/2"], None),
+        (["invariants", "3_1"], None),
     ):
         calls.clear()
         code, out, _ = run(capsys, *argv)

@@ -170,13 +170,48 @@ def test_max_cosets_must_be_positive():
     for bad in (0, -5):
         with pytest.raises(ValueError, match="max_cosets must be >= 1"):
             todd_coxeter(p, bad)
-        with pytest.raises(ValueError, match="max_cosets must be >= 1"):
-            classify_triple(OpenBookTriple(-3, 5, 7), bad)
-        # H1 alone would decide (0, 2, 2); the budget is still checked.
-        with pytest.raises(ValueError, match="max_cosets must be >= 1"):
-            classify_triple(OpenBookTriple(0, 2, 2), bad)
-        with pytest.raises(ValueError, match="max_cosets must be >= 1"):
-            s3_openbook_report(1, bad)
+
+
+def test_coset_budget_counts_labels():
+    # A label is never reused after a merge, so the trivial group on
+    # < x, y | x, y > needs three.
+    p = Presentation(((1,), (2,)))
+    assert todd_coxeter(p, 2) is None
+    assert todd_coxeter(p, 3) == 1
+
+
+_SHORT_WORD_TRIPLES = ((1, -1, 10**8), (0, 1, -1), (-1, 1, 5000), (300, -301, -90301),
+                       (3000, -3001, -9003001), (30, -31, -931), (-2, 3, 5), (2, -3, -7))
+
+
+def test_classify_runs_todd_coxeter_on_three_presentations(monkeypatch):
+    # With H1 = 1, a finite von Dyck quotient leaves only |a| <= 1, run as
+    # < x, y | x, y >, and (2, -3, -5), (-2, 3, 5): no coset budget is
+    # needed, and none is passed.
+    calls = []
+    real = openbook.todd_coxeter
+
+    def recording(p, *args, **kwargs):
+        calls.append((p, args, kwargs))
+        return real(p, *args, **kwargs)
+
+    monkeypatch.setattr(openbook, "todd_coxeter", recording)
+    bound = 12
+    triples = [(a, b, c) for a in range(-bound, bound + 1)
+               for b in range(-bound, bound + 1) for c in range(-bound, bound + 1)
+               if abs(a) <= abs(b) <= abs(c)]
+    assert len(triples) == 3249
+    for t in triples + list(_SHORT_WORD_TRIPLES):
+        classify_triple(OpenBookTriple(*t))
+    assert all(args == () and kwargs == {} for _, args, kwargs in calls)
+    presentations = {p for p, _, _ in calls}
+    assert presentations == {
+        Presentation(((1,), (2,))),
+        pi1_presentation(OpenBookTriple(2, -3, -5)),
+        pi1_presentation(OpenBookTriple(-2, 3, 5)),
+    }
+    for p in presentations:
+        assert real(p, 2000) is not None, p
 
 
 def test_classify_examples():
@@ -269,7 +304,7 @@ def test_scan8_certificates():
                 assert _perm_value(word, x, y) == ident
             assert r["verdict"] == "nontrivial-pi1"
         else:
-            assert cert == {"method": "exhausted", "max_cosets": 20000}
+            assert cert == {"method": "exhausted", "max_degree": 5}
             assert r["verdict"] == "inconclusive"
     trivial = {r["triple"] for r in rows if r["verdict"] == "trivial-pi1"}
     assert trivial == {r["triple"] for r in rows if classified_trivial_set(r["triple"])}
@@ -290,7 +325,7 @@ def test_witness_search_on_reduced_exponents():
     for t in ((30, -31, -931), (21, -34, -55), (28, -55, -57), (-32, 63, 65)):
         norm = OpenBookTriple(*t).sorted_by_magnitude()
         full = nontriviality_witness(pi1_presentation(norm))
-        expect = full or {"method": "exhausted", "max_cosets": 20000}
+        expect = full or {"method": "exhausted", "max_degree": 5}
         assert classify_triple(OpenBookTriple(*t)).certificate == expect, t
     assert classify_triple(OpenBookTriple(21, -34, -55)).certificate["target"] == "S5"
 
@@ -317,7 +352,6 @@ def test_openbook_words_stay_short(monkeypatch):
     v = classify_triple(OpenBookTriple(1, -1, 10**8))
     assert v.verdict == "trivial-pi1"
     assert v.certificate == {"method": "todd-coxeter", "group_order": 1}
-    for t in ((0, 1, -1), (-1, 1, 5000), (300, -301, -90301), (3000, -3001, -9003001),
-              (30, -31, -931), (-2, 3, 5), (2, -3, -7)):
+    for t in _SHORT_WORD_TRIPLES[1:]:
         classify_triple(OpenBookTriple(*t))
     assert lengths and max(lengths) <= 90

@@ -27,3 +27,22 @@ def test_trace_targets_exist():
                for owner, attr in targets
                if attr not in vars(tracing._resolve(owner))]
     assert tracing.TARGETS and not missing, missing
+
+
+def test_every_config_key_is_read():
+    # A key in cli.DEFAULTS that no command reads is a setting that does
+    # nothing: each must be read as cfg["<key>"] outside _load_config.
+    tree = ast.parse((SRC / "cli.py").read_text())
+    keys = None
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "DEFAULTS" for t in node.targets):
+            keys = {k.value for k in node.value.keys}
+    reads = {node.slice.value
+             for fn in tree.body
+             if isinstance(fn, ast.FunctionDef) and fn.name != "_load_config"
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+             and isinstance(node.value, ast.Name) and node.value.id == "cfg"
+             and isinstance(node.slice, ast.Constant)}
+    assert keys and keys <= reads, sorted(keys - reads)

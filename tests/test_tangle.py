@@ -1,8 +1,9 @@
 from fractions import Fraction
 from functools import reduce
+from itertools import permutations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clasptools.census import load_census
@@ -221,6 +222,58 @@ def test_closed_braid_axis():
     two = closed_braid([], 2, axis="over-first")
     assert two.num_components == 3
     assert sum(abs(two.linking_number(i, j)) for i in range(3) for j in range(i + 1, 3)) == 2
+
+
+def _braid_linking_matrix(word, n, axis):
+    """Linking matrix of a braid closure oriented down the braid, from the
+    word alone: a letter between two components adds its sign to their
+    doubled linking number, and with the over-first axis every strand
+    links the axis with sign -1."""
+    at = list(range(n))  # the strand at each position, read down the braid
+    letters = []
+    for g in word:
+        i = abs(g) - 1
+        letters.append((at[i], at[i + 1], 1 if g > 0 else -1))
+        at[i], at[i + 1] = at[i + 1], at[i]
+    comp = list(range(n))  # the closure joins the strand ending at a position
+    for pos in range(n):   # to the strand starting there
+        a, b = comp[at[pos]], comp[pos]
+        comp = [a if c == b else c for c in comp]
+    index = {c: k for k, c in enumerate(dict.fromkeys(comp))}
+    size = len(index) + (axis is not None)
+    doubled = [[0] * size for _ in range(size)]
+    for s, t, sign in letters:
+        a, b = index[comp[s]], index[comp[t]]
+        if a != b:
+            doubled[a][b] += sign
+            doubled[b][a] += sign
+    if axis is not None:
+        for strand in range(n):
+            doubled[-1][index[comp[strand]]] -= 2
+            doubled[index[comp[strand]]][-1] -= 2
+    return [[v // 2 for v in row] for row in doubled]
+
+
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i])), max_size=12),
+    st.sampled_from([None, "over-first"]))))
+@example((2, [-1, -1], None))  # the negative Hopf link, signs (1, 1) before
+@example((2, [1, 1], "over-first"))
+@settings(max_examples=200, deadline=None)
+def test_closed_braid_follows_the_braid(case):
+    # Crossing signs are the letters' signs, and the signed linking numbers
+    # are the braid's: every strand links the axis with the same sign.
+    n, word, axis = case
+    d = closed_braid(word, n, axis=axis)
+    ring = [-1] * (2 * n if axis else 0)
+    assert sorted(d.signs) == sorted([1 if g > 0 else -1 for g in word] + ring)
+    expect = _braid_linking_matrix(word, n, axis)
+    k = d.num_components
+    got = [[d.linking_number(i, j) if i != j else 0 for j in range(k)] for i in range(k)]
+    assert len(expect) == k
+    assert any(all(got[p[i]][p[j]] == expect[i][j] for i in range(k) for j in range(k))
+               for p in permutations(range(k))), (got, expect)
 
 
 def test_tangle_faces_euler():
