@@ -8,6 +8,9 @@ census name, 3 parse error, 4 node budget exceeded, 1 anything else
 
 A config file in ``key=value`` format can preload limits (node-budget,
 memo-capacity, bound, census, exceptional); command-line flags override it.
+
+The ``openbook`` and ``tangle`` layers are imported inside the commands
+that use them, so a call loads only the modules its command runs.
 """
 
 from __future__ import annotations
@@ -27,9 +30,7 @@ from .clasp import (
 )
 from .diagram import DiagramError, parse_pd
 from .laurent import extract_p_i
-from .openbook import OpenBookTriple, classify_triple, s3_openbook_report
 from .skein import BudgetExceededError, SkeinEngine
-from .tangle import MontesinosDesc, montesinos_diagram, theorem1_catalog
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -147,6 +148,8 @@ def cmd_clasp_obstruct(args, cfg):
 
 
 def cmd_montesinos(args, cfg):
+    from .tangle import MontesinosDesc, montesinos_diagram
+
     eng = _engine(cfg)
     m = MontesinosDesc.parse(args.desc)
     d = montesinos_diagram(m)
@@ -158,6 +161,8 @@ def cmd_montesinos(args, cfg):
 
 
 def cmd_catalog(args, cfg):
+    from .tangle import theorem1_catalog
+
     eng = _engine(cfg)
     census = load_census(cfg["census"])
     exceptional = load_exceptional(cfg["exceptional"])
@@ -179,6 +184,8 @@ def cmd_catalog(args, cfg):
 
 
 def cmd_openbook(args, cfg):
+    from .openbook import OpenBookTriple, classify_triple, s3_openbook_report
+
     if args.triple:
         try:
             a, b, c = (int(x) for x in args.triple.split(","))
@@ -205,6 +212,8 @@ def cmd_corollary12(args, cfg):
     verdict is then cl >= 3.  Catalog non-membership is certified only up
     to the invariants computed here.
     """
+    from .tangle import theorem1_catalog
+
     eng = _engine(cfg)
     census = load_census(cfg["census"])
     missing = [n for n in COROLLARY12_NAMES if n not in census]

@@ -46,3 +46,23 @@ def test_every_config_key_is_read():
              and isinstance(node.value, ast.Name) and node.value.id == "cfg"
              and isinstance(node.slice, ast.Constant)}
     assert keys and keys <= reads, sorted(keys - reads)
+
+
+def test_package_table_names_top_level_definitions():
+    # clasptools/__init__.py imports a public name's submodule only on first
+    # access; a renamed or moved definition would otherwise fail only there.
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    table = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets))
+    missing = []
+    for module, names in table.items():
+        defined = set()
+        for node in ast.parse((SRC / f"{module}.py").read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+        missing += [f"{module}.{name}" for name in names if name not in defined]
+    assert table and not missing, missing
