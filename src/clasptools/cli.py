@@ -6,8 +6,9 @@ to stdout, diagnostics to stderr.  Exit codes: 0 success, 2 unknown
 census name, 3 parse error, 4 node budget exceeded, 1 anything else
 (usage errors and unreadable data files included).
 
-A config file in ``key=value`` format can preload limits (node-budget,
-memo-capacity, bound, census, exceptional); command-line flags override it.
+Every setting is a flag: ``--node-budget`` (skein nodes per query),
+``--census`` and ``--exceptional`` (data files), and ``clasp-obstruct
+--bound``.
 
 The ``openbook`` and ``tangle`` layers are imported inside the commands
 that use them, so a call loads only the modules its command runs.
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .census import COROLLARY12_NAMES, CensusError, load_census, load_exceptional
 from .clasp import (
@@ -43,53 +43,10 @@ class UnknownNameError(LookupError):
     """A knot argument is neither PD text nor a name in the census."""
 
 
-DEFAULTS = {
-    "node-budget": 10_000_000,
-    "memo-capacity": 1 << 20,
-    "bound": 50,
-    "census": None,
-    "exceptional": None,
-}
-
-
-def _load_config(path):
-    cfg = dict(DEFAULTS)
-    if path:
-        try:
-            text = Path(path).read_text()
-        except (OSError, UnicodeDecodeError) as e:
-            raise ValueError(
-                f"cannot read config {path}: {getattr(e, 'strerror', None) or e}"
-            ) from None
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key not in cfg:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in ("census", "exceptional"):
-                cfg[key] = value
-                continue
-            try:
-                cfg[key] = int(value)
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: {key} needs an integer, got {value!r}"
-                ) from None
-    return cfg
-
-
-def _engine(cfg) -> SkeinEngine:
-    return SkeinEngine(max_nodes=cfg["node-budget"], memo_capacity=cfg["memo-capacity"])
-
-
-def _resolve_diagram(name_or_pd: str, cfg):
+def _resolve_diagram(name_or_pd: str, census_path):
     if name_or_pd.strip().startswith("PD["):
         return parse_pd(name_or_pd)
-    table = load_census(cfg["census"])
+    table = load_census(census_path)
     if name_or_pd not in table:
         raise UnknownNameError(f"unknown census name {name_or_pd!r}")
     return table[name_or_pd]
@@ -117,27 +74,26 @@ def _invariants_payload(name, d, eng):
     return payload
 
 
-def cmd_invariants(args, cfg):
-    eng = _engine(cfg)
-    d = _resolve_diagram(args.knot, cfg)
+def cmd_invariants(args):
+    eng = SkeinEngine(max_nodes=args.node_budget)
+    d = _resolve_diagram(args.knot, args.census)
     print(json.dumps(_invariants_payload(args.knot, d, eng), indent=2))
     return EXIT_OK
 
 
-def cmd_clasp_obstruct(args, cfg):
+def cmd_clasp_obstruct(args):
     a2, a4 = args.a2, args.a4
     types = [args.type] if args.type else [TYPE_X, TYPE_II]
-    bound = args.bound if args.bound is not None else cfg["bound"]
     payload = {
         "a2": a2,
         "a4": a4,
-        "bound": bound,
+        "bound": args.bound,
         "typeX_parity_obstruction": typeX_parity_obstruction(a2, a4),
         "kadokami_kawamura_excluded": kadokami_kawamura_excluded(a2, a4),
         "solutions": {},
     }
     for t in types:
-        sols = enumerate_params(a2, a4, t, bound)
+        sols = enumerate_params(a2, a4, t, args.bound)
         payload["solutions"][t] = [
             {"eps1": p.eps1, "eps2": p.eps2, "l1": p.l1, "l2": p.l2, "l": p.l}
             for p in sols
@@ -147,10 +103,10 @@ def cmd_clasp_obstruct(args, cfg):
     return EXIT_OK
 
 
-def cmd_montesinos(args, cfg):
+def cmd_montesinos(args):
     from .tangle import MontesinosDesc, montesinos_diagram
 
-    eng = _engine(cfg)
+    eng = SkeinEngine(max_nodes=args.node_budget)
     m = MontesinosDesc.parse(args.desc)
     d = montesinos_diagram(m)
     payload = _invariants_payload(str(m), d, eng)
@@ -160,12 +116,12 @@ def cmd_montesinos(args, cfg):
     return EXIT_OK
 
 
-def cmd_catalog(args, cfg):
+def cmd_catalog(args):
     from .tangle import theorem1_catalog
 
-    eng = _engine(cfg)
-    census = load_census(cfg["census"])
-    exceptional = load_exceptional(cfg["exceptional"])
+    eng = SkeinEngine(max_nodes=args.node_budget)
+    census = load_census(args.census)
+    exceptional = load_exceptional(args.exceptional)
     entries = theorem1_catalog(args.n_bound, census=census, exceptional=exceptional)
     rows = []
     for e in entries:
@@ -183,7 +139,7 @@ def cmd_catalog(args, cfg):
     return EXIT_OK
 
 
-def cmd_openbook(args, cfg):
+def cmd_openbook(args):
     from .openbook import OpenBookTriple, classify_triple, s3_openbook_report
 
     if args.triple:
@@ -204,7 +160,7 @@ def cmd_openbook(args, cfg):
     return EXIT_OK
 
 
-def cmd_corollary12(args, cfg):
+def cmd_corollary12(args):
     """Reproduce the clasp-number bound for the five census target knots.
 
     For each: even a2 and a4 = +-1, the type-X parity obstruction fires,
@@ -214,14 +170,14 @@ def cmd_corollary12(args, cfg):
     """
     from .tangle import theorem1_catalog
 
-    eng = _engine(cfg)
-    census = load_census(cfg["census"])
+    eng = SkeinEngine(max_nodes=args.node_budget)
+    census = load_census(args.census)
     missing = [n for n in COROLLARY12_NAMES if n not in census]
     if missing:
         raise CensusError(
             "census is missing required entries: " + ", ".join(missing)
         )
-    exceptional = load_exceptional(cfg["exceptional"])
+    exceptional = load_exceptional(args.exceptional)
     entries = theorem1_catalog(6, census=census, exceptional=exceptional)
     catalog_pairs = []
     for e in entries:
@@ -261,10 +217,10 @@ def cmd_corollary12(args, cfg):
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="clasptools")
-    ap.add_argument("--config", help="key=value config file")
     ap.add_argument("--census", help="census file override")
     ap.add_argument("--exceptional", help="exceptional-knot file override")
-    ap.add_argument("--node-budget", type=int)
+    ap.add_argument("--node-budget", type=int, default=10_000_000,
+                    help="skein nodes per query; past it, exit 4 (default %(default)s)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariants", help="HOMFLY/Conway/p0 of a census name or PD code")
@@ -275,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a2", type=int, required=True)
     p.add_argument("--a4", type=int, required=True)
     p.add_argument("--type", choices=[TYPE_X, TYPE_II])
-    p.add_argument("--bound", type=int)
+    p.add_argument("--bound", type=int, default=50)
     p.set_defaults(func=cmd_clasp_obstruct)
 
     p = sub.add_parser("montesinos", help="build K(r1,r2,r3) and compute its invariants")
@@ -306,14 +262,7 @@ def main(argv=None) -> int:
             return EXIT_ERROR
         raise
     try:
-        cfg = _load_config(args.config)
-        if args.census:
-            cfg["census"] = args.census
-        if args.exceptional:
-            cfg["exceptional"] = args.exceptional
-        if args.node_budget is not None:
-            cfg["node-budget"] = args.node_budget
-        return args.func(args, cfg)
+        return args.func(args)
     except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET

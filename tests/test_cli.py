@@ -10,6 +10,7 @@ from clasptools.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_UNKNOWN_NAME,
+    build_parser,
     main,
 )
 from clasptools.skein import SkeinEngine
@@ -59,22 +60,12 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "--node-budget", "-3", "invariants", "3_1")
     assert code == EXIT_ERROR and out == ""
     assert err == "error: max_nodes must be >= 0, got -3\n"
-    missing = tmp_path / "nonexistent.cfg"
-    code, out, err = run(capsys, "--config", str(missing), "openbook", "--triple=1,2,3")
-    assert code == EXIT_ERROR and out == ""
-    assert err.startswith(f"error: cannot read config {missing}: ")
     code, _, err = run(capsys, "corollary12")
     assert code == EXIT_ERROR and "missing required entries" in err
     missing = tmp_path / "nonexistent.tsv"
     code, out, err = run(capsys, "--exceptional", str(missing), "catalog")
     assert code == EXIT_ERROR and out == ""
     assert err == f"error: exceptional file not found: {missing}\n"
-    cfg = tmp_path / "clasptools.cfg"
-    cfg.write_text("max-cosets=-5\n")  # the open-book search has no budget
-    for mode in ("--triple=-3,5,7", "--scan=1"):
-        code, out, err = run(capsys, "--config", str(cfg), "openbook", mode)
-        assert code == EXIT_ERROR and out == ""
-        assert err == f"error: {cfg}:1: unknown key 'max-cosets'\n"
     for triple in ("1,2", "1,2,3,4", "a,b,c"):
         code, out, err = run(capsys, "openbook", f"--triple={triple}")
         assert code == EXIT_ERROR and out == ""
@@ -83,6 +74,10 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "--jobs=2", "invariants", "3_1")
     assert code == EXIT_ERROR and out == ""
     assert "unrecognized arguments: --jobs=2" in err
+    # Flags are the only settings: there is no config file.
+    code, out, err = run(capsys, "--config=x", "invariants", "3_1")
+    assert code == EXIT_ERROR and out == ""
+    assert "unrecognized arguments: --config=x" in err
     code, out, err = run(capsys, "invariants")
     assert code == EXIT_ERROR and "required: knot" in err
     # A data file that cannot be read is an error naming it, not a traceback.
@@ -93,10 +88,9 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
         assert err.startswith(f"error: cannot read {kind} file {tmp_path}: ")
     latin1 = tmp_path / "latin1.tsv"
     latin1.write_bytes(b"3_1\xff\tPD[]\n")
-    for flag, kind in (("--census", "census file"), ("--config", "config")):
-        code, out, err = run(capsys, flag, str(latin1), "invariants", "3_1")
-        assert code == EXIT_ERROR and out == ""
-        assert err.startswith(f"error: cannot read {kind} {latin1}: 'utf-8' codec")
+    code, out, err = run(capsys, "--census", str(latin1), "invariants", "3_1")
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith(f"error: cannot read census file {latin1}: 'utf-8' codec")
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
@@ -121,6 +115,16 @@ def test_clasp_obstruct(capsys):
         s == {"eps1": 1, "eps2": 1, "l1": 1, "l2": 1, "l": 0}
         for s in payload["solutions"]["II"]
     )
+    # Without --bound the search runs to the default bound of 50.
+    code, out, _ = run(capsys, "clasp-obstruct", "--a2", "2", "--a4", "1")
+    assert code == EXIT_OK
+    assert json.loads(out)["bound"] == 50
+    assert run(capsys, "clasp-obstruct", "--a2", "2", "--a4", "1", "--bound", "50")[1] == out
+
+
+def test_node_budget_default():
+    args = build_parser().parse_args(["invariants", "3_1"])
+    assert args.node_budget == 10_000_000
 
 
 def test_montesinos_command(capsys):
@@ -163,39 +167,6 @@ def test_openbook_commands(capsys):
     rows = json.loads(out)
     named = {tuple(r["triple"]): r.get("fibered_link") for r in rows}
     assert named[(0, 1, 1)] == "H+#H+"
-
-
-def test_config_file(tmp_path, capsys):
-    cfg = tmp_path / "clasptools.cfg"
-    cfg.write_text("node-budget=3\n")
-    code, _, _ = run(capsys, "--config", str(cfg), "invariants", "6_2")
-    assert code == EXIT_BUDGET
-    # flags override the file
-    code, _, _ = run(capsys, "--config", str(cfg), "--node-budget", "10000000",
-                     "invariants", "6_2")
-    assert code == EXIT_OK
-
-
-def test_config_rejects_non_integer_values(tmp_path, capsys):
-    cfg = tmp_path / "clasptools.cfg"
-    cfg.write_text("# limits\nbound=abc\n")
-    code, out, err = run(capsys, "--config", str(cfg), "clasp-obstruct", "--a2", "2", "--a4", "1")
-    assert code == EXIT_ERROR and out == ""
-    assert err == f"error: {cfg}:2: bound needs an integer, got 'abc'\n"
-    cfg.write_text("memo-capacity=-1\n")
-    code, out, err = run(capsys, "--config", str(cfg), "invariants", "3_1")
-    assert code == EXIT_ERROR and out == ""
-    assert err == "error: memo_capacity must be >= 0, got -1\n"
-
-
-def test_config_rejects_unknown_keys(tmp_path, capsys):
-    # deg-bound and coeff-bound set nothing any command reads.
-    for key in ("deg-bound", "coeff-bound"):
-        cfg = tmp_path / f"{key}.cfg"
-        cfg.write_text(f"{key}=6\n")
-        code, out, err = run(capsys, "--config", str(cfg), "invariants", "3_1")
-        assert code == EXIT_ERROR and out == ""
-        assert f"unknown key {key!r}" in err
 
 
 def test_invariants_split_over_component_closures(capsys):

@@ -65,6 +65,19 @@ def test_engine_matches_oracle_on_random_diagrams(word):
     assert eng.homfly(d) == oracle.homfly_bruteforce(d)
 
 
+braids = st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from([s * i for i in range(1, n) for s in (1, -1)]), max_size=24),
+    st.just(n)))
+
+
+@given(braids)
+@settings(max_examples=120, deadline=None)
+def test_engine_matches_hecke_oracle_on_closed_braids(braid):
+    # Past the brute-force oracle's 7 crossings: 2-5 strands, up to 24 letters.
+    word, n = braid
+    assert SkeinEngine().homfly(closed_braid(word, n)) == oracle.homfly_hecke(word, n)
+
+
 @given(words, st.integers(0, 10))
 @settings(max_examples=60, deadline=None)
 def test_switch_is_involution(word, pick):

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib.util
 from pathlib import Path
@@ -29,23 +30,24 @@ def test_trace_targets_exist():
     assert tracing.TARGETS and not missing, missing
 
 
-def test_every_config_key_is_read():
-    # A key in cli.DEFAULTS that no command reads is a setting that does
-    # nothing: each must be read as cfg["<key>"] outside _load_config.
+def test_every_flag_is_read():
+    # A flag that no command reads is a setting that does nothing: the dest
+    # of each option, in the parser and every subparser, must be read as
+    # args.<dest> somewhere in cli.py.
+    from clasptools.cli import build_parser
+
     tree = ast.parse((SRC / "cli.py").read_text())
-    keys = None
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "DEFAULTS" for t in node.targets):
-            keys = {k.value for k in node.value.keys}
-    reads = {node.slice.value
-             for fn in tree.body
-             if isinstance(fn, ast.FunctionDef) and fn.name != "_load_config"
-             for node in ast.walk(fn)
-             if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
-             and isinstance(node.value, ast.Name) and node.value.id == "cfg"
-             and isinstance(node.slice, ast.Constant)}
-    assert keys and keys <= reads, sorted(keys - reads)
+    reads = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+             and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    dests, parsers = set(), [build_parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+            elif action.dest != "help":
+                dests.add(action.dest)
+    assert dests and dests <= reads, sorted(dests - reads)
 
 
 def test_package_table_names_top_level_definitions():
