@@ -2,17 +2,16 @@
 
 Census files carry one `name<TAB>PD[...]` entry per line; the
 exceptional-knot file carries `name<TAB>eps1<TAB>eps2<TAB>PD[...]`.
-Lines starting with `#` are comments.  Loading validates every diagram
-and checks that it is a knot, so a corrupted code or a link fails loudly
-at load time rather than quietly skewing results.
+Lines starting with `#` are comments.  Data files are UTF-8 and are read
+as UTF-8 whatever the locale.  Loading validates every diagram and checks
+that it is a knot, so a corrupted code or a link fails loudly at load
+time rather than quietly skewing results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from .diagram import Diagram, DiagramError, parse_pd
 
@@ -22,7 +21,7 @@ class CensusError(ValueError):
 
 
 def _default_path(filename: str) -> Path:
-    return Path(str(resources.files("clasptools").joinpath("data", filename)))
+    return Path(__file__).with_name("data") / filename
 
 
 def _rows(p: Path, layout: str, kind: str):
@@ -34,7 +33,7 @@ def _rows(p: Path, layout: str, kind: str):
     that every error names; a file that cannot be read or decoded is too.
     """
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise CensusError(f"cannot read {kind} file {p}: {getattr(e, 'strerror', None) or e}") from None
     columns = layout.count("<TAB>") + 1
@@ -69,8 +68,9 @@ def load_census(path: Optional[str] = None, engine=None) -> Dict[str, Diagram]:
     return {name: d for _, (name, _), d in _rows(p, "name<TAB>PD[...]", "census")}
 
 
-@dataclass(frozen=True)
-class ExceptionalKnot:
+class ExceptionalKnot(NamedTuple):
+    """One entry of the exceptional-knot file, as a tuple."""
+
     name: str
     eps1: int
     eps2: int

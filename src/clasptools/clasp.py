@@ -15,9 +15,8 @@ disk".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .laurent import LaurentPoly, P0_UNLINK_FACTOR
 
@@ -27,22 +26,21 @@ TYPE_II = "II"
 _V_INV_MINUS_V = LaurentPoly({(-1, 0): 1, (1, 0): -1})
 
 
-@dataclass(frozen=True, order=True)
-class ClaspParams:
-    """Parameters (eps1, eps2, l1, l2, l) of a two-clasp disk of one type."""
+class ClaspParams(NamedTuple("ClaspParams", [("eps1", int), ("eps2", int), ("l1", int),
+                                             ("l2", int), ("l", int), ("disk_type", str)])):
+    """Parameters (eps1, eps2, l1, l2, l) of a two-clasp disk of one type.
 
-    eps1: int
-    eps2: int
-    l1: int
-    l2: int
-    l: int
-    disk_type: str = TYPE_II
+    A tuple of its six fields, so it compares and sorts field by field.
+    """
 
-    def __post_init__(self):
-        if self.eps1 not in (1, -1) or self.eps2 not in (1, -1):
+    __slots__ = ()
+
+    def __new__(cls, eps1: int, eps2: int, l1: int, l2: int, l: int, disk_type: str = TYPE_II):
+        if eps1 not in (1, -1) or eps2 not in (1, -1):
             raise ValueError("clasp signs must be +1 or -1")
-        if self.disk_type not in (TYPE_X, TYPE_II):
+        if disk_type not in (TYPE_X, TYPE_II):
             raise ValueError("disk type must be 'X' or 'II'")
+        return super().__new__(cls, eps1, eps2, l1, l2, l, disk_type)
 
     def swapped(self) -> "ClaspParams":
         """The same disk with the two clasps relabeled.
@@ -163,8 +161,7 @@ def p0_model(
 
 # -- sum-of-two-squares obstruction search -----------------------------------
 
-@dataclass(frozen=True)
-class SquareSearchResult:
+class SquareSearchResult(NamedTuple):
     status: str  # "found" | "refuted" | "inconclusive"
     reason: str = ""
     f1: Optional[LaurentPoly] = None

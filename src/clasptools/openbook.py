@@ -41,10 +41,9 @@ first pair of the all-pairs search (S5: 7 x 120 pairs, not 120 x 120).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 Word = Tuple[int, ...]  # signed generator indices: 1 = x, -1 = x^-1, 2 = y, -2 = y^-1
 
@@ -66,20 +65,16 @@ def power(word: Sequence[int], n: int) -> Word:
     return free_reduce(inv * (-n))
 
 
-@dataclass(frozen=True)
-class Presentation:
-    """A presentation on x, y with freely reduced relators."""
+class Presentation(NamedTuple("Presentation", [("relators", Tuple[Word, ...])])):
+    """A presentation on x, y with freely reduced relators: a 1-tuple."""
 
-    relators: Tuple[Word, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "relators", tuple(free_reduce(r) for r in self.relators)
-        )
+    def __new__(cls, relators: Sequence[Sequence[int]]):
+        return super().__new__(cls, tuple(free_reduce(r) for r in relators))
 
 
-@dataclass(frozen=True)
-class OpenBookTriple:
+class OpenBookTriple(NamedTuple):
     a: int
     b: int
     c: int
@@ -289,12 +284,17 @@ def nontriviality_witness(p: Presentation) -> Optional[Dict[str, object]]:
 
 # -- classification -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Verdict:
-    triple: Tuple[int, int, int]
-    normalized: Tuple[int, int, int]
-    verdict: str  # "trivial-pi1" | "nontrivial-pi1" | "inconclusive"
-    certificate: Dict[str, object] = field(default_factory=dict)
+class Verdict(NamedTuple("Verdict", [("triple", Tuple[int, int, int]),
+                                     ("normalized", Tuple[int, int, int]),
+                                     ("verdict", str), ("certificate", Dict[str, object])])):
+    """A verdict, "trivial-pi1", "nontrivial-pi1" or "inconclusive", with its
+    certificate: a tuple.  An omitted certificate is a fresh empty dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, triple, normalized, verdict, certificate=None):
+        certificate = {} if certificate is None else certificate
+        return super().__new__(cls, triple, normalized, verdict, certificate)
 
 
 def _von_dyck_infinite(t: OpenBookTriple) -> bool:

@@ -29,26 +29,26 @@ returned as ordinary diagrams and callers that need knots must check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .diagram import Diagram, _by_under_in, _faces
 
 End = int  # dart 4c + s (slot s of crossing c), or boundary end -1 - i
 
 
-@dataclass(frozen=True)
-class ExtendedRational:
-    """p/q in lowest terms with q >= 0; q == 0 encodes the infinity tangle."""
+class ExtendedRational(NamedTuple("ExtendedRational", [("p", int), ("q", int)])):
+    """p/q in lowest terms with q >= 0; q == 0 encodes the infinity tangle.
 
-    p: int
-    q: int
+    A tuple ``(p, q)``: format it with ``str`` or an f-string, never as the
+    whole right operand of ``%``.
+    """
 
-    def __post_init__(self):
-        p, q = self.p, self.q
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int):
         if q < 0:
             p, q = -p, -q
         if q == 0:
@@ -59,8 +59,7 @@ class ExtendedRational:
             g = gcd(abs(p), q)
             if g > 1:
                 p, q = p // g, q // g
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        return super().__new__(cls, p, q)
 
     @property
     def is_infinity(self) -> bool:
@@ -92,15 +91,15 @@ class ExtendedRational:
         return f"{self.p}/{self.q}"
 
 
-@dataclass(frozen=True)
-class MontesinosDesc:
-    """An ordered triple of extended rationals K(r1, r2, r3)."""
+class MontesinosDesc(NamedTuple("MontesinosDesc", [("entries", Tuple[ExtendedRational, ...])])):
+    """An ordered triple of extended rationals K(r1, r2, r3): a 1-tuple."""
 
-    entries: Tuple[ExtendedRational, ExtendedRational, ExtendedRational]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.entries) != 3:
+    def __new__(cls, entries: Tuple[ExtendedRational, ExtendedRational, ExtendedRational]):
+        if len(entries) != 3:
             raise ValueError("length-three Montesinos descriptions only")
+        return super().__new__(cls, entries)
 
     @classmethod
     def of(cls, *rs) -> "MontesinosDesc":
@@ -459,16 +458,20 @@ def two_bridge_diagram(r: ExtendedRational) -> Diagram:
     return closure(rational_tangle(r))
 
 
-@dataclass
-class CatalogEntry:
-    """One knot of the genus-two clasp-two type-II classification."""
+class CatalogEntry(NamedTuple("CatalogEntry", [
+        ("family", str), ("name", str), ("diagram", Optional[Diagram]),
+        ("description", Optional[MontesinosDesc]), ("params", dict), ("note", str)])):
+    """One knot of the genus-two clasp-two type-II classification: a tuple.
 
-    family: str  # "i" connected sums, "ii" two-bridge, "iii" Montesinos, "iv" exceptional
-    name: str
-    diagram: Optional[Diagram]
-    description: Optional[MontesinosDesc] = None
-    params: dict = field(default_factory=dict)
-    note: str = ""
+    ``family`` is "i" (connected sums), "ii" (two-bridge), "iii"
+    (Montesinos) or "iv" (exceptional); omitted ``params`` are a fresh dict.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, family, name, diagram, description=None, params=None, note=""):
+        return super().__new__(cls, family, name, diagram, description,
+                               {} if params is None else params, note)
 
 
 def theorem1_catalog(n_bound: int, census, exceptional) -> List[CatalogEntry]:

@@ -19,10 +19,14 @@ inference and its dart-table planarity check.  And ``homfly_hecke``
 evaluates a closed braid's HOMFLY in the Hecke algebra H_n through the
 Ocneanu trace (Jones 1987; Morton & Short 1990), which shares no code
 with either skein recursion and reaches words far beyond their sizes.
+And ``alexander_polynomial`` takes the determinant of a reduced Alexander
+matrix, which checks the Conway polynomial of any diagram without a skein
+relation: Delta(s^2) = +-s^k Nabla(s - 1/s).
 """
 
 from functools import lru_cache
 from itertools import permutations, product
+from math import comb
 
 from clasptools.diagram import Diagram, _Builder, _over_in_port, _over_out_port
 from clasptools.laurent import LaurentPoly, UNLINK_FACTOR, extract_p_i
@@ -386,3 +390,126 @@ def homfly_hecke(word, n_strands):
         elem = _hecke_times(elem, abs(letter) - 1, letter < 0)
     phi = sum((c * _hecke_trace(w) for w, c in elem.items()), LaurentPoly.zero())
     return LaurentPoly.term(1, ev=sum(1 if x > 0 else -1 for x in word)) * phi
+
+
+# -- Alexander polynomial by determinant ---------------------------------------
+#
+# A polynomial in t is a tuple of integer coefficients, lowest degree first,
+# with no trailing zeros; () is zero.
+
+def _trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return tuple(a)
+
+
+def _poly_add(a, b, sign=1):
+    """a + b, or a - b with sign=-1."""
+    n = max(len(a), len(b))
+    return _trim((a[i] if i < len(a) else 0) + sign * (b[i] if i < len(b) else 0)
+                 for i in range(n))
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _poly_div_exact(a, b):
+    """a / b over Z[t]; raises ValueError unless b divides a exactly."""
+    a, q = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c, r = divmod(a[k + len(b) - 1], b[-1])
+        if r:
+            raise ValueError("inexact division")
+        q[k] = c
+        for j, y in enumerate(b):
+            a[k + j] -= c * y
+    if any(a):
+        raise ValueError("inexact division")
+    return _trim(q)
+
+
+def _bareiss_det(m):
+    """Determinant of a square matrix over Z[t] by fraction-free elimination:
+    each step's 2 x 2 minors divide exactly by the previous pivot."""
+    m = [list(row) for row in m]
+    n, sign, prev = len(m), 1, (1,)
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return ()
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                minor = _poly_add(_poly_mul(m[i][j], m[k][k]), _poly_mul(m[i][k], m[k][j]), -1)
+                m[i][j] = _poly_div_exact(minor, prev)
+        prev = m[k][k]
+    det = m[-1][-1] if n else (1,)
+    return _poly_add((), det, sign)
+
+
+def alexander_polynomial(d: Diagram):
+    """Delta(t) of d, up to a factor +-t^k, from its Alexander matrix.
+
+    One row per crossing and one column per arc (a strand running from one
+    under-crossing to the next): 1 - t for the over-arc, and t for the
+    incoming and -1 for the outgoing under-arc at a positive crossing, the
+    two swapped at a negative one.  Every row sums to zero; delete one row
+    and one column and take the determinant.  A component that never passes
+    under, crossingless ones included, lifts off the rest: the link splits
+    and Delta = 0.
+    """
+    if d.num_crossings == 0:
+        return (1,) if d.num_components == 1 else ()
+    arc = {e: e for e in range(1, d.num_edges + 1)}
+
+    def find(e):
+        while arc[e] != e:
+            e = arc[e]
+        return e
+
+    for q in d.crossings:
+        arc[find(q[1])] = find(q[3])  # the over strand runs straight through
+    columns = {r: i for i, r in enumerate(sorted({find(e) for e in arc}))}
+    if d.free_loops or len(columns) != d.num_crossings:
+        return ()
+    rows = []
+    for q, sign in zip(d.crossings, d.signs):
+        row = [()] * len(columns)
+        ends = ((q[1], (1, -1)), (q[0], (0, 1) if sign > 0 else (-1,)),
+                (q[2], (-1,) if sign > 0 else (0, 1)))
+        for e, entry in ends:
+            c = columns[find(e)]
+            row[c] = _poly_add(row[c], entry)
+        rows.append(row)
+    return _bareiss_det([row[:-1] for row in rows[:-1]])
+
+
+def _normal_form(coeffs):
+    """A Laurent polynomial in s, {exponent: coefficient}, up to +-s^k."""
+    terms = sorted((e, c) for e, c in coeffs.items() if c)
+    if not terms:
+        return ()
+    low, sign = terms[0][0], (1 if terms[0][1] > 0 else -1)
+    out = [0] * (terms[-1][0] - low + 1)
+    for e, c in terms:
+        out[e - low] = sign * c
+    return tuple(out)
+
+
+def conway_matches_alexander(nabla: LaurentPoly, delta) -> bool:
+    """Whether Nabla(s - 1/s) = +-s^k Delta(s^2) for some k, where nabla is
+    a z-only LaurentPoly and delta is what ``alexander_polynomial`` returns."""
+    lhs = {}
+    for (ev, ez), c in nabla.items():
+        if ev:
+            raise ValueError("nabla must be a z-only polynomial")
+        for j in range(ez + 1):  # (s - 1/s)^ez
+            lhs[ez - 2 * j] = lhs.get(ez - 2 * j, 0) + c * comb(ez, j) * (-1) ** j
+    return _normal_form(lhs) == _normal_form({2 * i: c for i, c in enumerate(delta)})

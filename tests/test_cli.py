@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -234,6 +237,36 @@ def test_load_exceptional_absent_and_valid(tmp_path):
     with pytest.raises(CensusError) as err:
         load_exceptional(str(f))
     assert str(err.value) == f"{f}:2: clasp signs must be +1 or -1"
+
+
+# Loads both data files in an interpreter whose locale encoding is ASCII.
+_ASCII_LOCALE_CHILD = """import sys
+from clasptools.census import CensusError, load_census, load_exceptional
+census, exceptional, latin1 = sys.argv[1:]
+print(sorted(load_census(census)), [k.name for k in load_exceptional(exceptional)])
+try:
+    load_census(latin1)
+except CensusError as e:
+    print(str(e).replace(latin1, "LATIN1"))
+"""
+
+
+def test_data_files_are_utf8_under_any_locale(tmp_path):
+    census, exceptional, latin1 = (tmp_path / n for n in ("census.tsv", "ex.tsv", "latin1.tsv"))
+    census.write_text(f"# trèfle\n3_1\t{TREFOIL_PD}\n", encoding="utf-8")
+    exceptional.write_text(f"# nœud\nKex1\t1\t-1\t{TREFOIL_PD}\n", encoding="utf-8")
+    latin1.write_bytes(b"3_1\xff\tPD[]\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONPATH=str(src))
+    env.pop("PYTHONUTF8", None)
+    out = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-c", _ASCII_LOCALE_CHILD, str(census), str(exceptional),
+         str(latin1)], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == [
+        "['3_1'] ['Kex1']",
+        "cannot read census file LATIN1: 'utf-8' codec can't decode byte 0xff in position 3: "
+        "invalid start byte",
+    ]
 
 
 def test_census_anchors():

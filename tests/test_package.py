@@ -31,23 +31,29 @@ def test_star_import_binds_every_name():
     assert {n for n in namespace if n != "__builtins__"} == set(clasptools.__all__)
 
 
-# Each case runs in a fresh interpreter, which prints its exit code and the
-# clasptools submodules it ended up with as the last line of stdout.
+# Each case runs in a fresh interpreter, which prints its exit code, the
+# clasptools submodules it ended up with and the heavy standard modules it
+# imported as the last line of stdout.  The interpreter runs with -S, so that
+# no site hook can preload a module and hide an import the package makes:
+# ``dataclasses`` pulls in ``inspect``, ``ast`` and ``dis``, and neither it
+# nor ``importlib.resources`` may load on any path the package runs.
 _CHILD = """import json, sys
 rc = 0
 {}
-print(json.dumps([rc, sorted(m[11:] for m in sys.modules if m.startswith("clasptools."))]))
+heavy = [m for m in ("dataclasses", "inspect", "importlib.resources") if m in sys.modules]
+print(json.dumps([rc, sorted(m[11:] for m in sys.modules if m.startswith("clasptools.")), heavy]))
 """
 
 
-def _loaded_submodules(code):
+def _loaded_submodules(code, expected_rc=0):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", _CHILD.format(code)], check=True,
+    out = subprocess.run([sys.executable, "-S", "-c", _CHILD.format(code)], check=True,
                          capture_output=True, text=True, env=env).stdout
-    rc, loaded = json.loads(out.splitlines()[-1])
-    assert rc == 0
+    rc, loaded, heavy = json.loads(out.splitlines()[-1])
+    assert rc == expected_rc
+    assert heavy == [], heavy
     return set(loaded)
 
 
@@ -65,10 +71,19 @@ def test_set_up_loads_only_census_diagram_laurent_skein():
     assert _loaded_submodules(code) == {"census", "diagram", "laurent", "skein"}
 
 
+# corollary12 exits 1: the shipped census lacks its five target knots.
+_EXIT_CODE = {"corollary12": 1}
+
+
 @pytest.mark.parametrize("argv, unused", [
     (["invariants", "3_1"], {"openbook", "tangle"}),
     (["openbook", "--triple=2,3,7"], {"tangle"}),
+    (["clasp-obstruct", "--a2", "2", "--a4", "1"], {"openbook", "tangle"}),
+    (["montesinos", "--desc=-2/3,2,1/2"], {"openbook"}),
+    (["catalog", "--n-bound", "1"], {"openbook"}),
+    (["corollary12"], {"openbook"}),
 ])
 def test_cli_command_skips_layers_it_does_not_run(argv, unused):
-    loaded = _loaded_submodules(f"from clasptools import cli; rc = cli.main({argv!r})")
+    code = f"from clasptools import cli; rc = cli.main({argv!r})"
+    loaded = _loaded_submodules(code, _EXIT_CODE.get(argv[0], 0))
     assert "cli" in loaded and not loaded & unused, sorted(loaded)

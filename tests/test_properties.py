@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from clasptools.diagram import Diagram
 from clasptools.laurent import LaurentPoly, extract_p_i
 from clasptools.skein import SkeinEngine
-from clasptools.tangle import closed_braid
+from clasptools.tangle import (
+    ExtendedRational,
+    MontesinosDesc,
+    closed_braid,
+    montesinos_diagram,
+    pretzel_diagram,
+)
 
 import oracle
 
@@ -76,6 +82,23 @@ def test_engine_matches_hecke_oracle_on_closed_braids(braid):
     # Past the brute-force oracle's 7 crossings: 2-5 strands, up to 24 letters.
     word, n = braid
     assert SkeinEngine().homfly(closed_braid(word, n)) == oracle.homfly_hecke(word, n)
+
+
+fractions = st.builds(ExtendedRational, st.integers(-7, 7), st.integers(1, 4))
+conway_diagrams = st.one_of(
+    braids.filter(lambda b: len(b[0]) <= 20).map(lambda b: closed_braid(*b)),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=4).map(lambda t: pretzel_diagram(*t)),
+    st.tuples(fractions, fractions, fractions).map(
+        lambda rs: montesinos_diagram(MontesinosDesc(rs))),
+)
+
+
+@given(conway_diagrams)
+@settings(max_examples=200, deadline=None)
+def test_engine_conway_matches_alexander_determinant(d):
+    # Closed braids up to 20 letters, pretzel and Montesinos diagrams up to
+    # ~20 crossings: Nabla(s - 1/s) = +-s^k det(reduced Alexander matrix)(s^2).
+    assert oracle.conway_matches_alexander(eng.conway(d), oracle.alexander_polynomial(d))
 
 
 @given(words, st.integers(0, 10))
