@@ -10,7 +10,7 @@ time rather than quietly skewing results.
 
 from __future__ import annotations
 
-from pathlib import Path
+import os
 from typing import Dict, List, NamedTuple, Optional
 
 from .diagram import Diagram, DiagramError, parse_pd
@@ -20,11 +20,11 @@ class CensusError(ValueError):
     pass
 
 
-def _default_path(filename: str) -> Path:
-    return Path(__file__).with_name("data") / filename
+def _default_path(filename: str) -> str:
+    return os.path.join(os.path.dirname(__file__), "data", filename)
 
 
-def _rows(p: Path, layout: str, kind: str):
+def _rows(p: str, layout: str, kind: str):
     """Yield ``(where, fields, diagram)`` for each entry line of a TSV file.
 
     Blank and ``#`` lines are skipped.  Each entry must have the columns of
@@ -33,7 +33,8 @@ def _rows(p: Path, layout: str, kind: str):
     that every error names; a file that cannot be read or decoded is too.
     """
     try:
-        text = p.read_text(encoding="utf-8")
+        with open(p, encoding="utf-8") as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise CensusError(f"cannot read {kind} file {p}: {getattr(e, 'strerror', None) or e}") from None
     columns = layout.count("<TAB>") + 1
@@ -62,8 +63,8 @@ def _rows(p: Path, layout: str, kind: str):
 def load_census(path: Optional[str] = None, engine=None) -> Dict[str, Diagram]:
     """Load and validate the named-knot table (``engine`` is unused; the
     benchmark worker's set-up still passes it)."""
-    p = Path(path) if path else _default_path("census.tsv")
-    if not p.exists():
+    p = path or _default_path("census.tsv")
+    if not os.path.exists(p):
         raise CensusError(f"census file not found: {p}")
     return {name: d for _, (name, _), d in _rows(p, "name<TAB>PD[...]", "census")}
 
@@ -82,8 +83,8 @@ def load_exceptional(path: Optional[str] = None) -> List[ExceptionalKnot]:
 
     An absent default file yields []; a path given explicitly must exist.
     """
-    p = Path(path) if path else _default_path("exceptional.tsv")
-    if not p.exists():
+    p = path or _default_path("exceptional.tsv")
+    if not os.path.exists(p):
         if path:
             raise CensusError(f"exceptional file not found: {p}")
         return []

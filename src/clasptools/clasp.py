@@ -183,6 +183,10 @@ def typeX_sum_of_squares_search(
     coeff_bound.  Non-exact division (or an odd exponent surviving it) is
     a definitive refutation for this sign pair; exhausting the bounds or
     the node cap is reported as inconclusive, never as refutation.
+
+    The depth-first search (``_SquareSearcher``) keeps each f's leading
+    term in its state and runs on an explicit stack, so any deg_bound is
+    safe: the work is bounded by node_cap, not by the Python stack.
     """
     if eps1 not in (1, -1) or eps2 not in (1, -1):
         raise ValueError("signs must be +1 or -1")
@@ -222,6 +226,17 @@ class _SquareSearcher:
     cancelling-leading-squares solutions that a residual-top chase would
     miss.  Each f's leading coefficient is normalized positive (f and -f
     square identically).
+
+    A search node is ``(E, r, state1, state2)`` with the residual r and,
+    for each f, the state ``(f, lead, cap)``: f so far, its leading
+    ``(exponent, coefficient)`` (None while f is zero; terms are placed
+    top down, so the first placement fixes it) and the highest exponent
+    its next term may take.  The depth-first search runs on an explicit
+    stack, children pushed in reverse so that they pop in the order
+    nobody / f1 alone / f2 alone / both, so its depth (about
+    4*deg_bound) never touches the Python stack; any deg_bound is
+    bounded by the node cap instead.  The search stops at the first node
+    past the cap.
     """
 
     def __init__(self, eps1, eps2, deg_bound, coeff_bound, node_cap):
@@ -233,91 +248,88 @@ class _SquareSearcher:
         self.exhausted_cap = False
 
     def run(self, r: LaurentPoly):
-        empty = LaurentPoly.zero()
-        return self._rec(2 * self.D, r, (empty, empty), (None, None), (self.D, self.D))
-
-    def _next_slot(self, f: LaurentPoly, par: Optional[int], cap: int, E: int) -> Optional[int]:
-        """Exponent where f's next term must sit to contribute at E, or None."""
-        if f.is_zero():
-            if E % 2:
+        """A pair (f1, f2) with eps1 f1^2 + eps2 f2^2 = r, or None."""
+        D, C = self.D, self.C
+        sign0, sign1 = self.eps
+        empty = (LaurentPoly.zero(), None, D)
+        stack = [(2 * D, r, empty, empty)]
+        while stack:
+            E, r, st0, st1 = stack.pop()
+            self.nodes += 1
+            if self.nodes > self.cap:
+                self.exhausted_cap = True
                 return None
-            s = E // 2
-        else:
-            s = E - f.v_degree()
-        if s > cap or s < -self.D:
-            return None
-        if par is not None and s % 2 != par:
-            return None
-        return s
-
-    def _coeff_options(self, f, eps_i, want):
-        """Nonzero next coefficients b with f's contribution at E equal to want."""
-        if f.is_zero():
-            if eps_i * want <= 0:
-                return []
-            b = isqrt(eps_i * want)
-            return [b] if b * b == eps_i * want and 0 < b <= self.C else []
-        a = f.coefficient(f.v_degree(), 0)
-        den = 2 * eps_i * a
-        if want % den:
-            return []
-        b = want // den
-        return [b] if b != 0 and abs(b) <= self.C else []
-
-    def _placed(self, i, fs, pars, caps, s, b):
-        f = fs[i]
-        new_f = f + LaurentPoly.term(b, ev=s)
-        delta = (f.shift(s, 0, 2 * b) + LaurentPoly.term(b * b, ev=2 * s)).shift(0, 0, self.eps[i])
-        nfs = list(fs)
-        nfs[i] = new_f
-        nps = list(pars)
-        nps[i] = s % 2
-        ncs = list(caps)
-        ncs[i] = s - 2
-        return tuple(nfs), tuple(nps), tuple(ncs), delta
-
-    def _rec(self, E, r, fs, pars, caps):
-        self.nodes += 1
-        if self.nodes > self.cap:
-            self.exhausted_cap = True
-            return None
-        if E < -2 * self.D:
-            return (fs[0], fs[1]) if r.is_zero() else None
-        if not r.is_zero() and r.v_degree() > E:
-            return None
-        c = r.coefficient(E, 0)
-        slots = [self._next_slot(fs[i], pars[i], caps[i], E) for i in (0, 1)]
-
-        # Nobody contributes at E.
-        if c == 0:
-            hit = self._rec(E - 1, r, fs, pars, caps)
-            if hit is not None:
-                return hit
-
-        # Exactly one f contributes.
-        for i in (0, 1):
-            if slots[i] is None:
+            if E < -2 * D:
+                if r.is_zero():
+                    return st0[0], st1[0]
                 continue
-            for b in self._coeff_options(fs[i], self.eps[i], c):
-                nfs, nps, ncs, delta = self._placed(i, fs, pars, caps, slots[i], b)
-                hit = self._rec(E - 1, r - delta, nfs, nps, ncs)
-                if hit is not None:
-                    return hit
+            if r and r.v_degree() > E:
+                continue
+            c = r.coefficient(E, 0)
+            s0 = self._next_slot(st0, E)
+            s1 = self._next_slot(st1, E)
+            children = []
 
-        # Both contribute at E jointly.
-        if slots[0] is not None and slots[1] is not None:
-            b0_range = range(1, self.C + 1) if fs[0].is_zero() else [
-                b for b in range(-self.C, self.C + 1) if b
-            ]
-            for b0 in b0_range:
-                if fs[0].is_zero():
-                    contrib0 = self.eps[0] * b0 * b0
-                else:
-                    contrib0 = self.eps[0] * 2 * fs[0].coefficient(fs[0].v_degree(), 0) * b0
-                for b1 in self._coeff_options(fs[1], self.eps[1], c - contrib0):
-                    nfs, nps, ncs, d0 = self._placed(0, fs, pars, caps, slots[0], b0)
-                    nfs, nps, ncs, d1 = self._placed(1, nfs, nps, ncs, slots[1], b1)
-                    hit = self._rec(E - 1, r - d0 - d1, nfs, nps, ncs)
-                    if hit is not None:
-                        return hit
+            # Nobody contributes at E.
+            if c == 0:
+                children.append((E - 1, r, st0, st1))
+
+            # Exactly one f contributes.
+            if s0 is not None:
+                b = self._coeff_option(st0[1], sign0, c)
+                if b is not None:
+                    n0, d0 = self._placed(st0, sign0, s0, b)
+                    children.append((E - 1, r - d0, n0, st1))
+            if s1 is not None:
+                b = self._coeff_option(st1[1], sign1, c)
+                if b is not None:
+                    n1, d1 = self._placed(st1, sign1, s1, b)
+                    children.append((E - 1, r - d1, st0, n1))
+
+            # Both contribute at E jointly.
+            if s0 is not None and s1 is not None:
+                lead0 = st0[1]
+                for b0 in range(1, C + 1) if lead0 is None else range(-C, C + 1):
+                    if not b0:
+                        continue
+                    contrib0 = sign0 * b0 * b0 if lead0 is None else sign0 * 2 * lead0[1] * b0
+                    b1 = self._coeff_option(st1[1], sign1, c - contrib0)
+                    if b1 is not None:
+                        n0, d0 = self._placed(st0, sign0, s0, b0)
+                        n1, d1 = self._placed(st1, sign1, s1, b1)
+                        children.append((E - 1, r - d0 - d1, n0, n1))
+
+            stack.extend(reversed(children))
         return None
+
+    def _next_slot(self, state, E: int) -> Optional[int]:
+        """Exponent where f's next term must sit to contribute at E, or None.
+
+        Every f keeps one exponent parity, so its contributions (2 * lead
+        * next, or next^2 while f is zero) all land on even E.
+        """
+        if E % 2:
+            return None
+        _, lead, cap = state
+        s = E // 2 if lead is None else E - lead[0]
+        return s if -self.D <= s <= cap else None
+
+    def _coeff_option(self, lead, eps_i, want) -> Optional[int]:
+        """The nonzero next coefficient b with f's contribution at E equal to want, or None."""
+        if lead is None:
+            if eps_i * want <= 0:
+                return None
+            b = isqrt(eps_i * want)
+            return b if b * b == eps_i * want and b <= self.C else None
+        den = 2 * eps_i * lead[1]
+        if want % den:
+            return None
+        b = want // den
+        return b if b != 0 and abs(b) <= self.C else None
+
+    @staticmethod
+    def _placed(state, eps_i, s, b):
+        """f's state after placing b*v^s, and the change eps_i * ((f + b v^s)^2 - f^2)."""
+        f, lead, _ = state
+        delta = f.shift(s, 0, 2 * b * eps_i) + LaurentPoly.term(eps_i * b * b, ev=2 * s)
+        return (f + LaurentPoly.term(b, ev=s), lead or (s, b), s - 2), delta

@@ -46,7 +46,11 @@ class LaurentPoly:
 
     @classmethod
     def term(cls, c: int, ev: int = 0, ez: int = 0) -> "LaurentPoly":
-        return cls({(ev, ez): c})
+        """The monomial c * v^ev * z^ez (the zero polynomial when c is 0)."""
+        out = cls.__new__(cls)
+        c = int(c)
+        out._terms = {(int(ev), int(ez)): c} if c else {}
+        return out
 
     # -- basic queries -----------------------------------------------
 
@@ -111,7 +115,16 @@ class LaurentPoly:
         return out
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        t = dict(self._terms)
+        for k, c in other._terms.items():
+            s = t.get(k, 0) - c
+            if s:
+                t[k] = s
+            else:
+                t.pop(k, None)
+        out = LaurentPoly.__new__(LaurentPoly)
+        out._terms = t
+        return out
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         t: dict = {}

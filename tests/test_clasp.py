@@ -181,6 +181,116 @@ def test_sum_of_squares_rejects_a_wrong_pair(monkeypatch):
         typeX_sum_of_squares_search(P("1*v^4"), 1, 1, 3, 8)
 
 
+def test_sum_of_squares_search_depth_is_bounded_by_the_node_cap():
+    # The search descends about 4 * deg_bound levels; a large degree bound
+    # costs nodes, never Python stack.
+    p0 = LaurentPoly.parse("2*v^2 + -1*v^4")
+    r = typeX_sum_of_squares_search(p0, 1, -1, deg_bound=600, coeff_bound=2)
+    assert (r.status, r.reason) == ("found", "")
+    assert (r.f1.to_text(), r.f2.to_text()) == ("1*v^2", "1*v")
+    r = typeX_sum_of_squares_search(p0, 1, -1, deg_bound=600, coeff_bound=2, node_cap=100)
+    assert (r.status, r.reason) == ("inconclusive", "search node cap exhausted")
+
+
+# Answers of the search on fixed inputs, recorded with the recursive form
+# of the search.  Rows in pairs with node caps k and k - 1 pin the node at
+# which a witness is found; the node caps 50 and 200 pin where an
+# unfinished search stops; the witness text of each found row pins which
+# witness in the box the visit order reaches first.
+_FROZEN_SEARCHES = [
+    ("-1*v^-2 + 2", -1, 1, 3, 4, 500000, "found", "1", "0"),
+    ("-1*v^-2 + 2", -1, 1, 3, 4, 14, "found", "1", "0"),
+    ("-1*v^-2 + 2", -1, 1, 3, 4, 13, "cap", None, None),
+    ("1*v^-6 + 3*v^-4 + -5*v^-2 + -2 + 4*v^2", -1, 1, 2, 2, 500000,
+     "found", "-1 + 2*v^2", "-1*v^-2 + -2 + 2*v^2"),
+    ("1*v^-6 + 3*v^-4 + -5*v^-2 + -2 + 4*v^2", -1, 1, 2, 2, 40,
+     "found", "-1 + 2*v^2", "-1*v^-2 + -2 + 2*v^2"),
+    ("1*v^-6 + 3*v^-4 + -5*v^-2 + -2 + 4*v^2", -1, 1, 2, 2, 39, "cap", None, None),
+    ("-9*v^-6 + 22*v^-4 + -16*v^-2 + 4", -1, -1, 3, 3, 500000, "found", "-3*v^-2 + 2", "0"),
+    ("-9*v^-6 + 22*v^-4 + -16*v^-2 + 4", -1, -1, 3, 3, 14, "found", "-3*v^-2 + 2", "0"),
+    ("-9*v^-6 + 22*v^-4 + -16*v^-2 + 4", -1, -1, 3, 3, 13, "cap", None, None),
+    ("-1*v^-2 + 1 + 1*v^2", -1, -1, 2, 2, 500000, "found", "1*v^-1 + 1*v", "0"),
+    ("-1*v^-2 + 1 + 1*v^2", -1, -1, 2, 2, 10, "found", "1*v^-1 + 1*v", "0"),
+    ("-1*v^-2 + 1 + 1*v^2", -1, -1, 2, 2, 9, "cap", None, None),
+    ("-9*v^-2 + 10", 1, -1, 3, 3, 500000, "found", "0", "3"),
+    ("-9*v^-2 + 10", 1, -1, 3, 3, 14, "found", "0", "3"),
+    ("-9*v^-2 + 10", 1, -1, 3, 3, 13, "cap", None, None),
+    ("4*v^-6 + -16*v^-4 + 17*v^-2 + 2 + -5*v^2 + -1*v^4", -1, 1, 3, 3, 500000,
+     "found", "0", "-2*v^-2 + 3 + 1*v^2"),
+    ("4*v^-6 + -16*v^-4 + 17*v^-2 + 2 + -5*v^2 + -1*v^4", -1, 1, 3, 3, 18,
+     "found", "0", "-2*v^-2 + 3 + 1*v^2"),
+    ("4*v^-6 + -16*v^-4 + 17*v^-2 + 2 + -5*v^2 + -1*v^4", -1, 1, 3, 3, 17, "cap", None, None),
+    ("-1*v^-8 + -4*v^-6 + 2*v^-4 + 8*v^-2 + -5*v^2 + 1*v^6", -1, -1, 3, 4, 500000,
+     "found", "-1*v^-3 + -2*v^-1 + 1*v^3", "-1*v^-2 + 1*v^2"),
+    ("-1*v^-8 + -4*v^-6 + 2*v^-4 + 8*v^-2 + -5*v^2 + 1*v^6", -1, -1, 3, 4, 30,
+     "found", "-1*v^-3 + -2*v^-1 + 1*v^3", "-1*v^-2 + 1*v^2"),
+    ("-1*v^-8 + -4*v^-6 + 2*v^-4 + 8*v^-2 + -5*v^2 + 1*v^6", -1, -1, 3, 4, 29, "cap", None, None),
+    ("-7*v^-8 + 23*v^-6 + -20*v^-4 + 4*v^-2 + 1", -1, 1, 3, 4, 500000, "found", "-4*v^-3 + 2*v^-1", "3*v^-3"),
+    ("-7*v^-8 + 23*v^-6 + -20*v^-4 + 4*v^-2 + 1", -1, 1, 3, 4, 14, "found", "-4*v^-3 + 2*v^-1", "3*v^-3"),
+    ("-7*v^-8 + 23*v^-6 + -20*v^-4 + 4*v^-2 + 1", -1, 1, 3, 4, 13, "cap", None, None),
+    ("-9*v^-8 + 9*v^-6 + 1*v^-4 + -4 + 4*v^2", -1, -1, 3, 3, 500000, "found", "2*v", "3*v^-3"),
+    ("1*v^-6 + -1*v^-4 + 1*v^-2 + -2 + 2*v^2", -1, 1, 2, 2, 500000, "found", "1 + 1*v^2", "1*v^-2 + 1*v^2"),
+    ("-1*v^-6 + 10*v^-4 + -16*v^-2 + -24 + 16*v^2 + 16*v^4", -1, -1, 3, 4, 500000,
+     "found", "-1*v^-2 + 4 + 4*v^2", "0"),
+    ("4*v^-4 + 4*v^-2 + -4 + -4*v^2 + 1*v^4", 1, 1, 2, 2, 500000, "found", "2*v^-1 + 2*v", "0"),
+    ("4*v^-6 + -3*v^-4 + -2*v^-2 + 2", -1, -1, 3, 3, 500000, "bounds", None, None),
+    ("-1*v^-4 + 2*v^-2 + 6 + -5*v^2 + -1*v^4", -1, -1, 2, 2, 500000, "bounds", None, None),
+    ("-4*v^-8 + 4*v^-6 + -5*v^-4 + 5*v^-2 + -1 + 2*v^2 + -6*v^4 + 6*v^6", 1, -1, 3, 4, 500000,
+     "bounds", None, None),
+    ("-1*v^-8 + 2*v^-6 + -1*v^-4 + 2 + -2*v^2 + 1*v^4", 1, 1, 3, 4, 50, "cap", None, None),
+    ("-1*v^-8 + 2*v^-6 + -1*v^-4 + 2 + -2*v^2 + 1*v^4", 1, 1, 3, 4, 200, "bounds", None, None),
+    ("-5 + 5*v^2 + 1*v^4", 1, 1, 3, 3, 500000, "bounds", None, None),
+    ("-1*v^-6 + 1*v^-4 + 2*v^-2 + 5 + -6*v^2", 1, -1, 3, 4, 50, "cap", None, None),
+    ("-1*v^-6 + 1*v^-4 + 2*v^-2 + 5 + -6*v^2", 1, -1, 3, 4, 200, "cap", None, None),
+    ("4*v^-6 + -4*v^-4 + 3*v^2 + -2*v^4", 1, 1, 3, 3, 500000, "bounds", None, None),
+    ("-3*v^-4 + 3*v^-2 + 5 + -4*v^2", -1, 1, 2, 2, 50, "cap", None, None),
+    ("-3*v^-4 + 3*v^-2 + 5 + -4*v^2", -1, 1, 2, 2, 200, "bounds", None, None),
+    ("-3*v^-8 + 3*v^-6 + 3*v^-4 + -2*v^-2 + -5 + 5*v^2 + -2*v^4 + 2*v^6", -1, -1, 3, 4, 500000,
+     "bounds", None, None),
+    ("6*v^-4 + -6*v^-2 + -3 + 4*v^2", 1, -1, 2, 2, 500000, "bounds", None, None),
+    ("-4*v^-8 + 4*v^-6 + 1 + 3*v^2 + -3*v^4", -1, 1, 3, 3, 500000, "bounds", None, None),
+    ("-1*v^-6 + -3*v^-4 + -1*v^-2 + 6", -1, -1, 3, 4, 500000, "bounds", None, None),
+    ("1 + -5*v^2 + 5*v^4", 1, -1, 2, 2, 500000, "bounds", None, None),
+    ("6*v^-6 + -8*v^-4 + 2*v^-2 + 1", -1, 1, 2, 2, 50, "cap", None, None),
+    ("6*v^-6 + -8*v^-4 + 2*v^-2 + 1", -1, 1, 2, 2, 200, "bounds", None, None),
+    ("-2*v^-4 + 5*v^-2 + -2 + -4*v^2 + 4*v^4", -1, 1, 3, 4, 50, "cap", None, None),
+    ("-2*v^-4 + 5*v^-2 + -2 + -4*v^2 + 4*v^4", -1, 1, 3, 4, 200, "bounds", None, None),
+    ("3*v^-6 + 3*v^-4 + -6*v^-2 + 7 + -6*v^2", 1, -1, 3, 3, 50, "cap", None, None),
+    ("3*v^-6 + 3*v^-4 + -6*v^-2 + 7 + -6*v^2", 1, -1, 3, 3, 200, "cap", None, None),
+    ("1*v^-6 + -1*v^-4 + 5 + -4*v^2", 1, -1, 2, 2, 50, "cap", None, None),
+    ("1*v^-6 + -1*v^-4 + 5 + -4*v^2", 1, -1, 2, 2, 200, "bounds", None, None),
+    ("6*v^-8 + -6*v^-6 + -3*v^-4 + 3*v^-2 + 1", 1, -1, 3, 4, 50, "cap", None, None),
+    ("6*v^-8 + -6*v^-6 + -3*v^-4 + 3*v^-2 + 1", 1, -1, 3, 4, 200, "cap", None, None),
+    ("-6*v^-8 + 6*v^-6 + -2 + 3*v^2", -1, 1, 3, 3, 50, "cap", None, None),
+    ("-6*v^-8 + 6*v^-6 + -2 + 3*v^2", -1, 1, 3, 3, 200, "bounds", None, None),
+    ("-5*v^-4 + 5*v^-2 + 1 + 1*v^4 + -1*v^6", -1, 1, 3, 4, 50, "cap", None, None),
+    ("-5*v^-4 + 5*v^-2 + 1 + 1*v^4 + -1*v^6", -1, 1, 3, 4, 200, "bounds", None, None),
+    ("1*v^-8 + -1*v^-6 + 4*v^-4 + -3*v^-2 + -2*v^2 + 2*v^4", -1, -1, 3, 4, 50, "cap", None, None),
+    ("1*v^-8 + -1*v^-6 + 4*v^-4 + -3*v^-2 + -2*v^2 + 2*v^4", -1, -1, 3, 4, 200, "bounds", None, None),
+    ("2*v^-4 + -2*v^-2 + 1", 1, -1, 2, 2, 50, "cap", None, None),
+    ("2*v^-4 + -2*v^-2 + 1", 1, -1, 2, 2, 200, "bounds", None, None),
+    ("6*v^-6 + -6*v^-4 + -4*v^-2 + 3 + 2*v^2", 1, -1, 3, 3, 50, "cap", None, None),
+    ("6*v^-6 + -6*v^-4 + -4*v^-2 + 3 + 2*v^2", 1, -1, 3, 3, 200, "cap", None, None),
+    ("-6*v^-8 + 6*v^-6 + 3*v^-2 + -2", 1, -1, 3, 4, 50, "cap", None, None),
+    ("-6*v^-8 + 6*v^-6 + 3*v^-2 + -2", 1, -1, 3, 4, 200, "cap", None, None),
+]
+
+_OUTCOMES = {
+    "found": ("found", ""),
+    "cap": ("inconclusive", "search node cap exhausted"),
+    "bounds": ("inconclusive", "no witness within bounds"),
+}
+
+
+def test_sum_of_squares_search_matches_frozen_answers():
+    for p0, e1, e2, D, C, cap, outcome, f1, f2 in _FROZEN_SEARCHES:
+        r = typeX_sum_of_squares_search(P(p0), e1, e2, D, C, cap)
+        got = (r.status, r.reason,
+               r.f1.to_text() if r.f1 is not None else None,
+               r.f2.to_text() if r.f2 is not None else None)
+        assert got == _OUTCOMES[outcome] + (f1, f2), (p0, e1, e2, D, C, cap)
+
+
 def _brute_square_pairs(r, e1, e2, D, C):
     """Literal enumeration over the bounded parity-class boxes."""
     cands = [LaurentPoly.zero()]
@@ -219,6 +329,13 @@ def test_sum_of_squares_search_is_complete_on_small_box(terms, e1, e2):
         assert res.status == "inconclusive"
     else:
         assert res.status == "found"
+        for f in (res.f1, res.f2):
+            exps = [ev for (ev, _), _ in f.items()]
+            coeffs = [c for _, c in f.items()]
+            assert all(-D <= ev <= D for ev in exps)
+            assert len({ev % 2 for ev in exps}) <= 1
+            assert all(abs(c) <= C for c in coeffs)
+            assert f.is_zero() or f.coefficient(f.v_degree()) > 0
 
 
 def test_p0_model_reproduces_census_witness():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clasptools.laurent import (
@@ -92,6 +92,31 @@ def test_canonical_form_no_zero_coefficients(p):
     assert q.is_zero()
     for _, c in (p * p).items():
         assert c != 0
+
+
+@given(polys, polys)
+@settings(max_examples=100, deadline=None)
+def test_subtraction_adds_the_negation(p, q):
+    assert p - q == p + (-q)
+    assert p - p == LaurentPoly.zero()
+
+
+@given(coeffs, exponents, exponents)
+@example(0, 2, -1)
+@settings(max_examples=100, deadline=None)
+def test_term_is_the_one_entry_polynomial(c, ev, ez):
+    t = LaurentPoly.term(c, ev, ez)
+    assert t == LaurentPoly({(ev, ez): c})
+    assert t.is_zero() == (c == 0)
+    assert len(t) == (1 if c else 0)
+    assert t.coefficient(ev, ez) == c
+
+
+def test_term_converts_to_int():
+    t = LaurentPoly.term(True, ev=True)
+    [((ev, ez), c)] = t.items()
+    assert (type(ev), type(ez), type(c)) == (int, int, int)
+    assert t == P("1*v")
 
 
 @given(polys)

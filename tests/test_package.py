@@ -35,12 +35,13 @@ def test_star_import_binds_every_name():
 # clasptools submodules it ended up with and the heavy standard modules it
 # imported as the last line of stdout.  The interpreter runs with -S, so that
 # no site hook can preload a module and hide an import the package makes:
-# ``dataclasses`` pulls in ``inspect``, ``ast`` and ``dis``, and neither it
-# nor ``importlib.resources`` may load on any path the package runs.
+# ``dataclasses`` (which pulls in ``inspect``, ``ast`` and ``dis``), ``pathlib``
+# (which pulls in ``urllib.parse`` and ``ipaddress``) and
+# ``importlib.resources`` may not load on any path the package runs.
 _CHILD = """import json, sys
 rc = 0
 {}
-heavy = [m for m in ("dataclasses", "inspect", "importlib.resources") if m in sys.modules]
+heavy = [m for m in ("dataclasses", "inspect", "importlib.resources", "pathlib") if m in sys.modules]
 print(json.dumps([rc, sorted(m[11:] for m in sys.modules if m.startswith("clasptools.")), heavy]))
 """
 
