@@ -84,44 +84,48 @@ def params_to_link(l: int, l1: int, l2: int) -> Tuple[int, int, int]:
 def enumerate_params(a2: int, a4: int, disk_type: str, bound: int) -> List[ClaspParams]:
     """All parameters with |l1|, |l2|, |l| <= bound realizing (a2, a4).
 
-    Solved exactly: l2 is linear in l1 given the signs, and l comes from
-    a perfect-square test, so the cost is linear in the bound.  Output is
-    lexicographically sorted.
+    Both disk types solve one conic: with s = eps1 eps2, c = a2 (type II)
+    or a2 - s (type X), X = 2 l1 - eps1 c, l2 = eps2 (c - eps1 X) / 2 and
+    Y = 2l (type II) or 2l + 1 (type X), (a2, a4) is realized exactly when
+    X^2 + s Y^2 = D = c^2 - 4 a4 (+ s for type X); Y's parity then forces
+    X = c (mod 2).  The bound caps the search, so the cost is
+    O(min(sqrt|D|, bound)) plus the output, which is sorted.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     if disk_type not in (TYPE_X, TYPE_II):
         raise ValueError("disk type must be 'X' or 'II'")
+    odd = int(disk_type == TYPE_X)
     out = []
-    for e1 in (1, -1):
-        for e2 in (1, -1):
-            for l1 in range(-bound, bound + 1):
-                if disk_type == TYPE_X:
-                    l2 = e2 * (a2 - e1 * e2 - e1 * l1)
-                else:
-                    l2 = e2 * (a2 - e1 * l1)
-                if abs(l2) > bound:
-                    continue
-                m = l1 * l2 - e1 * e2 * a4  # l^2 (type II) or l(l+1) (type X)
-                if disk_type == TYPE_II:
-                    if m < 0:
-                        continue
-                    s = isqrt(m)
-                    if s * s != m:
-                        continue
-                    ls = {s, -s}
-                else:
-                    disc = 1 + 4 * m
-                    if disc < 0:
-                        continue
-                    s = isqrt(disc)
-                    if s * s != disc:
-                        continue
-                    ls = {(-1 + s) // 2, (-1 - s) // 2} if (s % 2 == 1) else set()
-                for l in sorted(ls):
-                    if abs(l) <= bound:
-                        out.append(ClaspParams(e1, e2, l1, l2, l, disk_type))
+    for s in (1, -1):
+        c = a2 - s * odd
+        for x, y in _conic_points(s, c * c - 4 * a4 + s * odd, 4 * bound + 1 - abs(c)):
+            if (y - odd) % 2 or x + abs(c) > 2 * bound:
+                continue  # |l1|, |l2| <= bound exactly when |X| + |c| <= 2 bound
+            for X, Y in {(x, y), (-x, y), (x, -y), (-x, -y)}:
+                if abs(Y - odd) <= 2 * bound:
+                    for e1 in (1, -1):
+                        l1, l2 = (X + e1 * c) // 2, s * e1 * (c - e1 * X) // 2
+                        out.append(ClaspParams(e1, s * e1, l1, l2, (Y - odd) // 2, disk_type))
     return sorted(out)
+
+
+def _conic_points(s: int, D: int, size: int):
+    """Points X, Y >= 0 of X^2 + s Y^2 = D (s = +-1), every one with X + Y <= size among them."""
+    if s == 1:  # walk the circle
+        for x in range(min(isqrt(D), size) + 1) if D >= 0 else ():
+            y = isqrt(D - x * x)
+            if y * y == D - x * x:
+                yield x, y
+    elif D == 0:  # the line X = Y
+        for x in range(size // 2 + 1):
+            yield x, x
+    else:  # divisor pairs of (X + Y)(X - Y) = D
+        n = abs(D)
+        for t in range(1, min(isqrt(n), size) + 1):  # t, the smaller factor, is <= X + Y
+            u = n // t
+            if n % t == 0 and (u - t) % 2 == 0:
+                yield ((u + t) // 2, (u - t) // 2) if D > 0 else ((u - t) // 2, (u + t) // 2)
 
 
 def typeX_parity_obstruction(a2: int, a4: int) -> bool:
@@ -184,8 +188,8 @@ def typeX_sum_of_squares_search(
     a definitive refutation for this sign pair; exhausting the bounds or
     the node cap is reported as inconclusive, never as refutation.
 
-    The depth-first search (``_SquareSearcher``) keeps each f's leading
-    term in its state and runs on an explicit stack, so any deg_bound is
+    The depth-first search (``_SquareSearcher``) places its nodes at even
+    exponents only and runs on an explicit stack, so any deg_bound is
     safe: the work is bounded by node_cap, not by the Python stack.
     """
     if eps1 not in (1, -1) or eps2 not in (1, -1):
@@ -219,13 +223,14 @@ class _SquareSearcher:
     """Complete frontier-descent search for eps1 f1^2 + eps2 f2^2 = r.
 
     Walks the contribution exponent E from 2*deg_bound down to
-    -2*deg_bound.  At each E the undetermined contributions can only come
-    from each f's *next* (highest remaining) term, so the coefficient
-    equation at E forces every choice except the genuinely free joint
-    splits, which are enumerated.  Joint placements cover the
-    cancelling-leading-squares solutions that a residual-top chase would
-    miss.  Each f's leading coefficient is normalized positive (f and -f
-    square identically).
+    -2*deg_bound in steps of 2, as r and every contribution (2 * lead *
+    next, or next^2 while f is zero) have even exponents.  At each E the
+    undetermined contributions can only come from each f's *next* (highest
+    remaining) term, so the coefficient equation at E forces every choice
+    except the genuinely free joint splits, which are enumerated.  Joint
+    placements cover the cancelling-leading-squares solutions that a
+    residual-top chase would miss.  Each f's leading coefficient is
+    normalized positive (f and -f square identically).
 
     A search node is ``(E, r, state1, state2)`` with the residual r and,
     for each f, the state ``(f, lead, cap)``: f so far, its leading
@@ -233,10 +238,10 @@ class _SquareSearcher:
     top down, so the first placement fixes it) and the highest exponent
     its next term may take.  The depth-first search runs on an explicit
     stack, children pushed in reverse so that they pop in the order
-    nobody / f1 alone / f2 alone / both, so its depth (about
-    4*deg_bound) never touches the Python stack; any deg_bound is
-    bounded by the node cap instead.  The search stops at the first node
-    past the cap.
+    nobody / f1 alone / f2 alone / both, so the node cap, not the Python
+    stack, bounds any deg_bound; it stops at the first node past the cap.
+    Each node clears r at E and adds nothing above E, so r's degree is
+    checked against the window once, before the first node.
     """
 
     def __init__(self, eps1, eps2, deg_bound, coeff_bound, node_cap):
@@ -251,6 +256,8 @@ class _SquareSearcher:
         """A pair (f1, f2) with eps1 f1^2 + eps2 f2^2 = r, or None."""
         D, C = self.D, self.C
         sign0, sign1 = self.eps
+        if r and r.v_degree() > 2 * D:
+            return None
         empty = (LaurentPoly.zero(), None, D)
         stack = [(2 * D, r, empty, empty)]
         while stack:
@@ -263,8 +270,6 @@ class _SquareSearcher:
                 if r.is_zero():
                     return st0[0], st1[0]
                 continue
-            if r and r.v_degree() > E:
-                continue
             c = r.coefficient(E, 0)
             s0 = self._next_slot(st0, E)
             s1 = self._next_slot(st1, E)
@@ -272,19 +277,19 @@ class _SquareSearcher:
 
             # Nobody contributes at E.
             if c == 0:
-                children.append((E - 1, r, st0, st1))
+                children.append((E - 2, r, st0, st1))
 
             # Exactly one f contributes.
             if s0 is not None:
                 b = self._coeff_option(st0[1], sign0, c)
                 if b is not None:
                     n0, d0 = self._placed(st0, sign0, s0, b)
-                    children.append((E - 1, r - d0, n0, st1))
+                    children.append((E - 2, r - d0, n0, st1))
             if s1 is not None:
                 b = self._coeff_option(st1[1], sign1, c)
                 if b is not None:
                     n1, d1 = self._placed(st1, sign1, s1, b)
-                    children.append((E - 1, r - d1, st0, n1))
+                    children.append((E - 2, r - d1, st0, n1))
 
             # Both contribute at E jointly.
             if s0 is not None and s1 is not None:
@@ -297,19 +302,13 @@ class _SquareSearcher:
                     if b1 is not None:
                         n0, d0 = self._placed(st0, sign0, s0, b0)
                         n1, d1 = self._placed(st1, sign1, s1, b1)
-                        children.append((E - 1, r - d0 - d1, n0, n1))
+                        children.append((E - 2, r - d0 - d1, n0, n1))
 
             stack.extend(reversed(children))
         return None
 
     def _next_slot(self, state, E: int) -> Optional[int]:
-        """Exponent where f's next term must sit to contribute at E, or None.
-
-        Every f keeps one exponent parity, so its contributions (2 * lead
-        * next, or next^2 while f is zero) all land on even E.
-        """
-        if E % 2:
-            return None
+        """Exponent where f's next term must sit to contribute at E, or None."""
         _, lead, cap = state
         s = E // 2 if lead is None else E - lead[0]
         return s if -self.D <= s <= cap else None

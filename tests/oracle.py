@@ -22,12 +22,15 @@ with either skein recursion and reaches words far beyond their sizes.
 And ``alexander_polynomial`` takes the determinant of a reduced Alexander
 matrix, which checks the Conway polynomial of any diagram without a skein
 relation: Delta(s^2) = +-s^k Nabla(s - 1/s).
+And ``enumerate_params_scan`` scans every l1 in the bound, the reference
+for ``clasp.enumerate_params``, which solves one conic instead.
 """
 
 from functools import lru_cache
 from itertools import permutations, product
-from math import comb
+from math import comb, isqrt
 
+from clasptools.clasp import TYPE_II, TYPE_X, ClaspParams
 from clasptools.diagram import Diagram, _Builder, _over_in_port, _over_out_port
 from clasptools.laurent import LaurentPoly, UNLINK_FACTOR, extract_p_i
 
@@ -513,3 +516,38 @@ def conway_matches_alexander(nabla: LaurentPoly, delta) -> bool:
         for j in range(ez + 1):  # (s - 1/s)^ez
             lhs[ez - 2 * j] = lhs.get(ez - 2 * j, 0) + c * comb(ez, j) * (-1) ** j
     return _normal_form(lhs) == _normal_form({2 * i: c for i, c in enumerate(delta)})
+
+
+def enumerate_params_scan(a2, a4, disk_type, bound):
+    """``clasp.enumerate_params`` by a scan of l1 over [-bound, bound]: l2 is
+    linear in l1 given the signs, and l comes from a perfect-square test."""
+    out = []
+    for e1 in (1, -1):
+        for e2 in (1, -1):
+            for l1 in range(-bound, bound + 1):
+                if disk_type == TYPE_X:
+                    l2 = e2 * (a2 - e1 * e2 - e1 * l1)
+                else:
+                    l2 = e2 * (a2 - e1 * l1)
+                if abs(l2) > bound:
+                    continue
+                m = l1 * l2 - e1 * e2 * a4  # l^2 (type II) or l(l+1) (type X)
+                if disk_type == TYPE_II:
+                    if m < 0:
+                        continue
+                    s = isqrt(m)
+                    if s * s != m:
+                        continue
+                    ls = {s, -s}
+                else:
+                    disc = 1 + 4 * m
+                    if disc < 0:
+                        continue
+                    s = isqrt(disc)
+                    if s * s != disc:
+                        continue
+                    ls = {(-1 + s) // 2, (-1 - s) // 2} if (s % 2 == 1) else set()
+                for l in sorted(ls):
+                    if abs(l) <= bound:
+                        out.append(ClaspParams(e1, e2, l1, l2, l, disk_type))
+    return sorted(out)

@@ -18,6 +18,7 @@ from clasptools.clasp import (
     typeX_sum_of_squares_search,
 )
 from clasptools.laurent import LaurentPoly
+from oracle import enumerate_params_scan
 
 P = LaurentPoly.parse
 
@@ -85,6 +86,27 @@ def test_enumerate_params_matches_brute_force(a2, a4, disk_type):
                         if model_coefficients(p) == (a2, a4):
                             brute.append(p)
     assert enumerate_params(a2, a4, disk_type, bound) == sorted(brute)
+
+
+@given(st.integers(-60, 60), st.integers(-400, 400), types, st.integers(0, 120))
+@settings(max_examples=300, deadline=None)
+def test_enumerate_params_matches_scan(a2, a4, disk_type, bound):
+    assert enumerate_params(a2, a4, disk_type, bound) == enumerate_params_scan(a2, a4, disk_type, bound)
+
+
+# Every (a2, a4, type) with |a2|, |a4| <= 6 whose conic degenerates to the
+# lines X = +-Y (D = 0) for some sign pair.
+_DEGENERATE_CONICS = [
+    (0, 0, TYPE_II), (2, 1, TYPE_II), (-2, 1, TYPE_II), (4, 4, TYPE_II), (-4, 4, TYPE_II),
+    (0, 0, TYPE_X), (2, 2, TYPE_X), (-2, 0, TYPE_X), (4, 6, TYPE_X), (-4, 2, TYPE_X),
+    (-6, 6, TYPE_X),
+]
+
+
+@pytest.mark.parametrize("a2, a4, disk_type", _DEGENERATE_CONICS)
+def test_enumerate_params_on_degenerate_conics(a2, a4, disk_type):
+    for bound in (0, 1, 7):
+        assert enumerate_params(a2, a4, disk_type, bound) == enumerate_params_scan(a2, a4, disk_type, bound)
 
 
 def test_typeX_parity_obstruction():
@@ -161,6 +183,10 @@ def test_sum_of_squares_examples():
     assert (r.f1 * r.f1) + (r.f2 * r.f2) == P("2*v^4")
     r = typeX_sum_of_squares_search(P("1*v^2 + 1"), 1, 1, 3, 8)
     assert r.status == "refuted"
+    # The quotient v^8 lies above the window 2 * deg_bound = 6, which is
+    # decided before the first node.
+    r = typeX_sum_of_squares_search(P("1*v^4 + 1*v^6 + -1*v^8"), 1, 1, 3, 8, node_cap=0)
+    assert (r.status, r.reason) == ("inconclusive", "no witness within bounds")
 
 
 def test_sum_of_squares_rejects_negative_bounds():
@@ -182,7 +208,7 @@ def test_sum_of_squares_rejects_a_wrong_pair(monkeypatch):
 
 
 def test_sum_of_squares_search_depth_is_bounded_by_the_node_cap():
-    # The search descends about 4 * deg_bound levels; a large degree bound
+    # The search descends about 2 * deg_bound levels; a large degree bound
     # costs nodes, never Python stack.
     p0 = LaurentPoly.parse("2*v^2 + -1*v^4")
     r = typeX_sum_of_squares_search(p0, 1, -1, deg_bound=600, coeff_bound=2)
@@ -192,58 +218,93 @@ def test_sum_of_squares_search_depth_is_bounded_by_the_node_cap():
     assert (r.status, r.reason) == ("inconclusive", "search node cap exhausted")
 
 
-# Answers of the search on fixed inputs, recorded with the recursive form
-# of the search.  Rows in pairs with node caps k and k - 1 pin the node at
-# which a witness is found; the node caps 50 and 200 pin where an
-# unfinished search stops; the witness text of each found row pins which
-# witness in the box the visit order reaches first.
+# Answers of the search on fixed inputs, with nodes at even exponents only.
+# The last pair of rows of each found input, node caps k and k - 1, pins
+# the node at which a witness is found (earlier pairs pin where a search
+# that also counted odd exponents found it); the node caps 50 and 200 pin
+# where an unfinished search stops; the witness text of each found row
+# pins which witness in the box the visit order reaches first.
 _FROZEN_SEARCHES = [
     ("-1*v^-2 + 2", -1, 1, 3, 4, 500000, "found", "1", "0"),
     ("-1*v^-2 + 2", -1, 1, 3, 4, 14, "found", "1", "0"),
-    ("-1*v^-2 + 2", -1, 1, 3, 4, 13, "cap", None, None),
+    ("-1*v^-2 + 2", -1, 1, 3, 4, 13, "found", "1", "0"),
+    ("-1*v^-2 + 2", -1, 1, 3, 4, 8, "found", "1", "0"),
+    ("-1*v^-2 + 2", -1, 1, 3, 4, 7, "cap", None, None),
     ("1*v^-6 + 3*v^-4 + -5*v^-2 + -2 + 4*v^2", -1, 1, 2, 2, 500000,
      "found", "-1 + 2*v^2", "-1*v^-2 + -2 + 2*v^2"),
     ("1*v^-6 + 3*v^-4 + -5*v^-2 + -2 + 4*v^2", -1, 1, 2, 2, 40,
      "found", "-1 + 2*v^2", "-1*v^-2 + -2 + 2*v^2"),
-    ("1*v^-6 + 3*v^-4 + -5*v^-2 + -2 + 4*v^2", -1, 1, 2, 2, 39, "cap", None, None),
+    ("1*v^-6 + 3*v^-4 + -5*v^-2 + -2 + 4*v^2", -1, 1, 2, 2, 39,
+     "found", "-1 + 2*v^2", "-1*v^-2 + -2 + 2*v^2"),
+    ("1*v^-6 + 3*v^-4 + -5*v^-2 + -2 + 4*v^2", -1, 1, 2, 2, 21,
+     "found", "-1 + 2*v^2", "-1*v^-2 + -2 + 2*v^2"),
+    ("1*v^-6 + 3*v^-4 + -5*v^-2 + -2 + 4*v^2", -1, 1, 2, 2, 20, "cap", None, None),
     ("-9*v^-6 + 22*v^-4 + -16*v^-2 + 4", -1, -1, 3, 3, 500000, "found", "-3*v^-2 + 2", "0"),
     ("-9*v^-6 + 22*v^-4 + -16*v^-2 + 4", -1, -1, 3, 3, 14, "found", "-3*v^-2 + 2", "0"),
-    ("-9*v^-6 + 22*v^-4 + -16*v^-2 + 4", -1, -1, 3, 3, 13, "cap", None, None),
+    ("-9*v^-6 + 22*v^-4 + -16*v^-2 + 4", -1, -1, 3, 3, 13, "found", "-3*v^-2 + 2", "0"),
+    ("-9*v^-6 + 22*v^-4 + -16*v^-2 + 4", -1, -1, 3, 3, 8, "found", "-3*v^-2 + 2", "0"),
+    ("-9*v^-6 + 22*v^-4 + -16*v^-2 + 4", -1, -1, 3, 3, 7, "cap", None, None),
     ("-1*v^-2 + 1 + 1*v^2", -1, -1, 2, 2, 500000, "found", "1*v^-1 + 1*v", "0"),
     ("-1*v^-2 + 1 + 1*v^2", -1, -1, 2, 2, 10, "found", "1*v^-1 + 1*v", "0"),
-    ("-1*v^-2 + 1 + 1*v^2", -1, -1, 2, 2, 9, "cap", None, None),
+    ("-1*v^-2 + 1 + 1*v^2", -1, -1, 2, 2, 9, "found", "1*v^-1 + 1*v", "0"),
+    ("-1*v^-2 + 1 + 1*v^2", -1, -1, 2, 2, 6, "found", "1*v^-1 + 1*v", "0"),
+    ("-1*v^-2 + 1 + 1*v^2", -1, -1, 2, 2, 5, "cap", None, None),
     ("-9*v^-2 + 10", 1, -1, 3, 3, 500000, "found", "0", "3"),
     ("-9*v^-2 + 10", 1, -1, 3, 3, 14, "found", "0", "3"),
-    ("-9*v^-2 + 10", 1, -1, 3, 3, 13, "cap", None, None),
+    ("-9*v^-2 + 10", 1, -1, 3, 3, 13, "found", "0", "3"),
+    ("-9*v^-2 + 10", 1, -1, 3, 3, 8, "found", "0", "3"),
+    ("-9*v^-2 + 10", 1, -1, 3, 3, 7, "cap", None, None),
     ("4*v^-6 + -16*v^-4 + 17*v^-2 + 2 + -5*v^2 + -1*v^4", -1, 1, 3, 3, 500000,
      "found", "0", "-2*v^-2 + 3 + 1*v^2"),
     ("4*v^-6 + -16*v^-4 + 17*v^-2 + 2 + -5*v^2 + -1*v^4", -1, 1, 3, 3, 18,
      "found", "0", "-2*v^-2 + 3 + 1*v^2"),
-    ("4*v^-6 + -16*v^-4 + 17*v^-2 + 2 + -5*v^2 + -1*v^4", -1, 1, 3, 3, 17, "cap", None, None),
+    ("4*v^-6 + -16*v^-4 + 17*v^-2 + 2 + -5*v^2 + -1*v^4", -1, 1, 3, 3, 17,
+     "found", "0", "-2*v^-2 + 3 + 1*v^2"),
+    ("4*v^-6 + -16*v^-4 + 17*v^-2 + 2 + -5*v^2 + -1*v^4", -1, 1, 3, 3, 10,
+     "found", "0", "-2*v^-2 + 3 + 1*v^2"),
+    ("4*v^-6 + -16*v^-4 + 17*v^-2 + 2 + -5*v^2 + -1*v^4", -1, 1, 3, 3, 9, "cap", None, None),
     ("-1*v^-8 + -4*v^-6 + 2*v^-4 + 8*v^-2 + -5*v^2 + 1*v^6", -1, -1, 3, 4, 500000,
      "found", "-1*v^-3 + -2*v^-1 + 1*v^3", "-1*v^-2 + 1*v^2"),
     ("-1*v^-8 + -4*v^-6 + 2*v^-4 + 8*v^-2 + -5*v^2 + 1*v^6", -1, -1, 3, 4, 30,
      "found", "-1*v^-3 + -2*v^-1 + 1*v^3", "-1*v^-2 + 1*v^2"),
-    ("-1*v^-8 + -4*v^-6 + 2*v^-4 + 8*v^-2 + -5*v^2 + 1*v^6", -1, -1, 3, 4, 29, "cap", None, None),
+    ("-1*v^-8 + -4*v^-6 + 2*v^-4 + 8*v^-2 + -5*v^2 + 1*v^6", -1, -1, 3, 4, 29,
+     "found", "-1*v^-3 + -2*v^-1 + 1*v^3", "-1*v^-2 + 1*v^2"),
+    ("-1*v^-8 + -4*v^-6 + 2*v^-4 + 8*v^-2 + -5*v^2 + 1*v^6", -1, -1, 3, 4, 16,
+     "found", "-1*v^-3 + -2*v^-1 + 1*v^3", "-1*v^-2 + 1*v^2"),
+    ("-1*v^-8 + -4*v^-6 + 2*v^-4 + 8*v^-2 + -5*v^2 + 1*v^6", -1, -1, 3, 4, 15, "cap", None, None),
     ("-7*v^-8 + 23*v^-6 + -20*v^-4 + 4*v^-2 + 1", -1, 1, 3, 4, 500000, "found", "-4*v^-3 + 2*v^-1", "3*v^-3"),
     ("-7*v^-8 + 23*v^-6 + -20*v^-4 + 4*v^-2 + 1", -1, 1, 3, 4, 14, "found", "-4*v^-3 + 2*v^-1", "3*v^-3"),
-    ("-7*v^-8 + 23*v^-6 + -20*v^-4 + 4*v^-2 + 1", -1, 1, 3, 4, 13, "cap", None, None),
+    ("-7*v^-8 + 23*v^-6 + -20*v^-4 + 4*v^-2 + 1", -1, 1, 3, 4, 13,
+     "found", "-4*v^-3 + 2*v^-1", "3*v^-3"),
+    ("-7*v^-8 + 23*v^-6 + -20*v^-4 + 4*v^-2 + 1", -1, 1, 3, 4, 8,
+     "found", "-4*v^-3 + 2*v^-1", "3*v^-3"),
+    ("-7*v^-8 + 23*v^-6 + -20*v^-4 + 4*v^-2 + 1", -1, 1, 3, 4, 7, "cap", None, None),
     ("-9*v^-8 + 9*v^-6 + 1*v^-4 + -4 + 4*v^2", -1, -1, 3, 3, 500000, "found", "2*v", "3*v^-3"),
+    ("-9*v^-8 + 9*v^-6 + 1*v^-4 + -4 + 4*v^2", -1, -1, 3, 3, 8, "found", "2*v", "3*v^-3"),
+    ("-9*v^-8 + 9*v^-6 + 1*v^-4 + -4 + 4*v^2", -1, -1, 3, 3, 7, "cap", None, None),
     ("1*v^-6 + -1*v^-4 + 1*v^-2 + -2 + 2*v^2", -1, 1, 2, 2, 500000, "found", "1 + 1*v^2", "1*v^-2 + 1*v^2"),
+    ("1*v^-6 + -1*v^-4 + 1*v^-2 + -2 + 2*v^2", -1, 1, 2, 2, 8,
+     "found", "1 + 1*v^2", "1*v^-2 + 1*v^2"),
+    ("1*v^-6 + -1*v^-4 + 1*v^-2 + -2 + 2*v^2", -1, 1, 2, 2, 7, "cap", None, None),
     ("-1*v^-6 + 10*v^-4 + -16*v^-2 + -24 + 16*v^2 + 16*v^4", -1, -1, 3, 4, 500000,
      "found", "-1*v^-2 + 4 + 4*v^2", "0"),
+    ("-1*v^-6 + 10*v^-4 + -16*v^-2 + -24 + 16*v^2 + 16*v^4", -1, -1, 3, 4, 8,
+     "found", "-1*v^-2 + 4 + 4*v^2", "0"),
+    ("-1*v^-6 + 10*v^-4 + -16*v^-2 + -24 + 16*v^2 + 16*v^4", -1, -1, 3, 4, 7, "cap", None, None),
     ("4*v^-4 + 4*v^-2 + -4 + -4*v^2 + 1*v^4", 1, 1, 2, 2, 500000, "found", "2*v^-1 + 2*v", "0"),
+    ("4*v^-4 + 4*v^-2 + -4 + -4*v^2 + 1*v^4", 1, 1, 2, 2, 6, "found", "2*v^-1 + 2*v", "0"),
+    ("4*v^-4 + 4*v^-2 + -4 + -4*v^2 + 1*v^4", 1, 1, 2, 2, 5, "cap", None, None),
     ("4*v^-6 + -3*v^-4 + -2*v^-2 + 2", -1, -1, 3, 3, 500000, "bounds", None, None),
     ("-1*v^-4 + 2*v^-2 + 6 + -5*v^2 + -1*v^4", -1, -1, 2, 2, 500000, "bounds", None, None),
     ("-4*v^-8 + 4*v^-6 + -5*v^-4 + 5*v^-2 + -1 + 2*v^2 + -6*v^4 + 6*v^6", 1, -1, 3, 4, 500000,
      "bounds", None, None),
-    ("-1*v^-8 + 2*v^-6 + -1*v^-4 + 2 + -2*v^2 + 1*v^4", 1, 1, 3, 4, 50, "cap", None, None),
+    ("-1*v^-8 + 2*v^-6 + -1*v^-4 + 2 + -2*v^2 + 1*v^4", 1, 1, 3, 4, 50, "bounds", None, None),
     ("-1*v^-8 + 2*v^-6 + -1*v^-4 + 2 + -2*v^2 + 1*v^4", 1, 1, 3, 4, 200, "bounds", None, None),
     ("-5 + 5*v^2 + 1*v^4", 1, 1, 3, 3, 500000, "bounds", None, None),
     ("-1*v^-6 + 1*v^-4 + 2*v^-2 + 5 + -6*v^2", 1, -1, 3, 4, 50, "cap", None, None),
     ("-1*v^-6 + 1*v^-4 + 2*v^-2 + 5 + -6*v^2", 1, -1, 3, 4, 200, "cap", None, None),
     ("4*v^-6 + -4*v^-4 + 3*v^2 + -2*v^4", 1, 1, 3, 3, 500000, "bounds", None, None),
-    ("-3*v^-4 + 3*v^-2 + 5 + -4*v^2", -1, 1, 2, 2, 50, "cap", None, None),
+    ("-3*v^-4 + 3*v^-2 + 5 + -4*v^2", -1, 1, 2, 2, 50, "bounds", None, None),
     ("-3*v^-4 + 3*v^-2 + 5 + -4*v^2", -1, 1, 2, 2, 200, "bounds", None, None),
     ("-3*v^-8 + 3*v^-6 + 3*v^-4 + -2*v^-2 + -5 + 5*v^2 + -2*v^4 + 2*v^6", -1, -1, 3, 4, 500000,
      "bounds", None, None),
@@ -257,15 +318,16 @@ _FROZEN_SEARCHES = [
     ("-2*v^-4 + 5*v^-2 + -2 + -4*v^2 + 4*v^4", -1, 1, 3, 4, 200, "bounds", None, None),
     ("3*v^-6 + 3*v^-4 + -6*v^-2 + 7 + -6*v^2", 1, -1, 3, 3, 50, "cap", None, None),
     ("3*v^-6 + 3*v^-4 + -6*v^-2 + 7 + -6*v^2", 1, -1, 3, 3, 200, "cap", None, None),
-    ("1*v^-6 + -1*v^-4 + 5 + -4*v^2", 1, -1, 2, 2, 50, "cap", None, None),
+    ("1*v^-6 + -1*v^-4 + 5 + -4*v^2", 1, -1, 2, 2, 50, "bounds", None, None),
     ("1*v^-6 + -1*v^-4 + 5 + -4*v^2", 1, -1, 2, 2, 200, "bounds", None, None),
     ("6*v^-8 + -6*v^-6 + -3*v^-4 + 3*v^-2 + 1", 1, -1, 3, 4, 50, "cap", None, None),
     ("6*v^-8 + -6*v^-6 + -3*v^-4 + 3*v^-2 + 1", 1, -1, 3, 4, 200, "cap", None, None),
-    ("-6*v^-8 + 6*v^-6 + -2 + 3*v^2", -1, 1, 3, 3, 50, "cap", None, None),
+    ("-6*v^-8 + 6*v^-6 + -2 + 3*v^2", -1, 1, 3, 3, 50, "bounds", None, None),
     ("-6*v^-8 + 6*v^-6 + -2 + 3*v^2", -1, 1, 3, 3, 200, "bounds", None, None),
-    ("-5*v^-4 + 5*v^-2 + 1 + 1*v^4 + -1*v^6", -1, 1, 3, 4, 50, "cap", None, None),
+    ("-5*v^-4 + 5*v^-2 + 1 + 1*v^4 + -1*v^6", -1, 1, 3, 4, 50, "bounds", None, None),
     ("-5*v^-4 + 5*v^-2 + 1 + 1*v^4 + -1*v^6", -1, 1, 3, 4, 200, "bounds", None, None),
-    ("1*v^-8 + -1*v^-6 + 4*v^-4 + -3*v^-2 + -2*v^2 + 2*v^4", -1, -1, 3, 4, 50, "cap", None, None),
+    ("1*v^-8 + -1*v^-6 + 4*v^-4 + -3*v^-2 + -2*v^2 + 2*v^4", -1, -1, 3, 4, 50,
+     "bounds", None, None),
     ("1*v^-8 + -1*v^-6 + 4*v^-4 + -3*v^-2 + -2*v^2 + 2*v^4", -1, -1, 3, 4, 200, "bounds", None, None),
     ("2*v^-4 + -2*v^-2 + 1", 1, -1, 2, 2, 50, "cap", None, None),
     ("2*v^-4 + -2*v^-2 + 1", 1, -1, 2, 2, 200, "bounds", None, None),
@@ -314,7 +376,7 @@ def _brute_square_pairs(r, e1, e2, D, C):
 
 
 @given(
-    st.dictionaries(st.sampled_from([-2, 0, 2]), st.integers(-4, 4), max_size=3),
+    st.dictionaries(st.sampled_from(range(-6, 7, 2)), st.integers(-4, 4), max_size=3),
     signs,
     signs,
 )

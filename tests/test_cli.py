@@ -125,6 +125,17 @@ def test_clasp_obstruct(capsys):
     assert run(capsys, "clasp-obstruct", "--a2", "2", "--a4", "1", "--bound", "50")[1] == out
 
 
+def test_clasp_obstruct_huge_bound_answers(capsys):
+    # The enumeration costs O(min(sqrt|D|, bound)), so a bound far past
+    # every solution answers at once with the solutions of a modest bound.
+    code, out, _ = run(capsys, "clasp-obstruct", "--a2", "3", "--a4", "-2", "--bound", "1000000000")
+    assert code == EXIT_OK
+    solutions = json.loads(out)["solutions"]
+    assert [len(solutions[t]) for t in ("X", "II")] == [16, 16]
+    small = run(capsys, "clasp-obstruct", "--a2", "3", "--a4", "-2", "--bound", "100000")[1]
+    assert json.loads(small)["solutions"] == solutions
+
+
 def test_node_budget_default():
     args = build_parser().parse_args(["invariants", "3_1"])
     assert args.node_budget == 10_000_000
