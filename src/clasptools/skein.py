@@ -6,7 +6,7 @@ processed in index order, each traversed from its lowest edge label, and
 the first crossing met on its under strand is the skein site.  Switching
 it moves the violation strictly later; smoothing drops a crossing; a
 descending diagram is an unlink.  Diagrams are R1/R2-simplified at every
-node and results are memoized by canonical code with LRU eviction.
+node and results are memoized by canonical code.
 
 There is one recursion, and each ``SkeinEngine`` has one memo table; the
 module keeps no engine of its own, so every caller makes the engine its
@@ -21,16 +21,13 @@ evaluation is part of the test suite.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .diagram import Diagram
 from .laurent import LaurentPoly, UNLINK_FACTOR, extract_p_i
 
-_V2 = LaurentPoly.term(1, ev=2)
-_VINV2 = LaurentPoly.term(1, ev=-2)
-_VZ = LaurentPoly.term(1, ev=1, ez=1)
-_VINVZ = LaurentPoly.term(-1, ev=-1, ez=1)
+# Memo entries an engine keeps; past this the oldest insertion is dropped.
+_MEMO_CAP = 1 << 20
 
 
 class BudgetExceededError(RuntimeError):
@@ -41,31 +38,27 @@ class SkeinEngine:
     """Shared-memo invariant calculator.
 
     ``max_nodes`` bounds the skein nodes of each query, one top-level
-    ``homfly`` call; ``nodes_used`` counts every node the engine visited.
-    Either limit below 0 raises ValueError.
-
-    An engine belongs to one thread: the LRU memo is not locked, and a
-    lookup racing with an eviction from another thread can fail.  Give
-    each thread its own engine.
+    ``homfly`` call, and below 0 raises ValueError; ``nodes_used`` counts
+    every node the engine visited.  Nothing is locked, so an engine
+    belongs to one thread.
     """
 
-    def __init__(self, max_nodes: int = 10_000_000, memo_capacity: int = 1 << 20):
-        for name, value in (("max_nodes", max_nodes), ("memo_capacity", memo_capacity)):
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+    def __init__(self, max_nodes: int = 10_000_000):
+        if max_nodes < 0:
+            raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
         self.max_nodes = max_nodes
-        self.memo_capacity = memo_capacity
         self.nodes_used = 0
-        self._memo: "OrderedDict[str, LaurentPoly]" = OrderedDict()
+        self._memo: Dict[str, LaurentPoly] = {}
 
     # -- public API ----------------------------------------------------
 
     def homfly(self, d: Diagram) -> LaurentPoly:
         """HOMFLY polynomial under v^-1 P+ - v P- = z P0, P(unknot) = 1."""
-        core, loops = _strip_loops(d)
-        if core.num_crossings == 0:
-            return UNLINK_FACTOR ** (_total_components(d) - 1)
-        return self._homfly(core) * UNLINK_FACTOR ** loops
+        if d.num_crossings:
+            return self._homfly(d)
+        if d.num_components == 0:
+            raise ValueError("empty diagram has no invariants")
+        return UNLINK_FACTOR ** (d.num_components - 1)
 
     def conway(self, d: Diagram) -> LaurentPoly:
         """Conway polynomial, the HOMFLY polynomial at v = 1; 0 for split links."""
@@ -84,16 +77,10 @@ class SkeinEngine:
 
     # -- internals ------------------------------------------------------
 
-    def _memo_get(self, key):
-        val = self._memo.get(key)
-        if val is not None:
-            self._memo.move_to_end(key)
-        return val
-
-    def _memo_put(self, key, val):
+    def _remember(self, key: str, val: LaurentPoly):
+        if len(self._memo) >= _MEMO_CAP:
+            del self._memo[next(iter(self._memo))]
         self._memo[key] = val
-        if len(self._memo) > self.memo_capacity:
-            self._memo.popitem(last=False)
 
     def _homfly(self, d: Diagram) -> LaurentPoly:
         """The skein recursion, depth-first on an explicit stack.
@@ -119,7 +106,7 @@ class SkeinEngine:
                     values.append(UNLINK_FACTOR ** (loops - 1))
                     continue
                 key = core.canonical_code()
-                cached = self._memo_get(key)
+                cached = self._memo.get(key)
                 if cached is None:
                     k = _descending_violation(core)
                     if k is not None:
@@ -128,16 +115,14 @@ class SkeinEngine:
                         tasks.append(core.switch_crossing(k))
                         continue
                     cached = UNLINK_FACTOR ** (core.num_components - 1)
-                    self._memo_put(key, cached)
+                    self._remember(key, cached)
             else:
                 key, sign, loops = task
                 sm = values.pop()
                 sw = values.pop()
-                if sign > 0:
-                    cached = _V2 * sw + _VZ * sm
-                else:
-                    cached = _VINV2 * sw + _VINVZ * sm
-                self._memo_put(key, cached)
+                # v^±2 P(switched) + (±v^±1) z P(smoothed)
+                cached = sw.shift(2 * sign, 0) + sm.shift(sign, 1, sign)
+                self._remember(key, cached)
             values.append(cached * UNLINK_FACTOR ** loops if loops else cached)
         return values.pop()
 
@@ -146,13 +131,6 @@ def _strip_loops(d: Diagram) -> Tuple[Diagram, int]:
     if d.free_loops == 0:
         return d, 0
     return Diagram._trusted(d.crossings, d.signs, 0), d.free_loops
-
-
-def _total_components(d: Diagram) -> int:
-    k = d.num_components
-    if k == 0:
-        raise ValueError("empty diagram has no invariants")
-    return k
 
 
 def _descending_violation(d: Diagram) -> Optional[int]:

@@ -326,12 +326,15 @@ def insert_clasp(t: Tangle, dart_a: End, dart_b: End, sign: int) -> Tangle:
     west flank on arc a and east flank on arc b, fusing the two strands.
     Clockwise around the face the cut ends come as a1, a2, b1, b2, and the
     block's ends SW, NW, NE, SE take them in that order: the one planar way.
+    Darts of two different faces have no planar clasp and raise ValueError.
     """
     out = t.copy()
     a1, a2 = dart_a, out.pair[dart_a]
     b1, b2 = dart_b, out.pair[dart_b]
     if {a1, a2} == {b1, b2}:
         raise ValueError("clasp needs two distinct arcs")
+    if not any(dart_a in f and dart_b in f for f in tangle_faces(t)):
+        raise ValueError("clasp darts must lie on one face")
     bmap = out._absorb(horizontal_twists(2 * sign))
     for cut in (a1, a2, b1, b2):
         del out.pair[cut]
@@ -490,6 +493,9 @@ def theorem1_catalog(n_bound: int, census, exceptional) -> List[CatalogEntry]:
     """
     if n_bound < 0:
         raise ValueError("n_bound must be nonnegative")
+    missing = [name for name in ("3_1", "4_1") if name not in census]
+    if missing:
+        raise ValueError("census is missing required entries: " + ", ".join(missing))
     entries: List[CatalogEntry] = []
 
     tre = census["3_1"]

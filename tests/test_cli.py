@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from clasptools.census import CensusError, load_census, load_exceptional
+from clasptools.census import COROLLARY12_NAMES, CensusError, load_census, load_exceptional
 from clasptools.cli import (
     EXIT_BUDGET,
     EXIT_ERROR,
@@ -65,6 +65,17 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     assert err == "error: max_nodes must be >= 0, got -3\n"
     code, _, err = run(capsys, "corollary12")
     assert code == EXIT_ERROR and "missing required entries" in err
+    # The catalog needs the census trefoil and figure-eight.
+    no_trefoil = tmp_path / "no_trefoil.tsv"
+    no_trefoil.write_text(f"4_1\t{FIG8_PD}\n")
+    code, out, err = run(capsys, "--census", str(no_trefoil), "catalog")
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: census is missing required entries: 3_1\n"
+    targets_only = tmp_path / "targets_only.tsv"
+    targets_only.write_text("".join(f"{n}\t{TREFOIL_PD}\n" for n in COROLLARY12_NAMES))
+    code, out, err = run(capsys, "--census", str(targets_only), "corollary12")
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: census is missing required entries: 3_1, 4_1\n"
     missing = tmp_path / "nonexistent.tsv"
     code, out, err = run(capsys, "--exceptional", str(missing), "catalog")
     assert code == EXIT_ERROR and out == ""
@@ -212,6 +223,7 @@ def test_load_census_validation(tmp_path):
 
 HOPF_PD = "PD[X[1,3,2,4],X[3,1,4,2]]"
 TREFOIL_PD = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
+FIG8_PD = "PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]"
 
 
 def test_census_entries_must_be_knots(tmp_path, capsys):
@@ -232,7 +244,7 @@ def test_census_entries_must_be_knots(tmp_path, capsys):
     assert err == f"error: {f}:2: exceptional entry 'L2a1' is not a knot\n"
 
 
-def test_load_exceptional_absent_and_valid(tmp_path):
+def test_load_exceptional_absent_and_valid(tmp_path, capsys):
     assert load_exceptional() == []  # the default file is not shipped
     with pytest.raises(CensusError, match="exceptional file not found"):
         load_exceptional(str(tmp_path / "nope.tsv"))
@@ -240,6 +252,17 @@ def test_load_exceptional_absent_and_valid(tmp_path):
     f.write_text("Kex1\t1\t-1\tPD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]\n")
     out = load_exceptional(str(f))
     assert len(out) == 1 and out[0].eps1 == 1 and out[0].eps2 == -1
+    # The catalog lists the file's knot in family iv, in place of the
+    # twelve flagged placeholders.
+    code, out, err = run(capsys, "--exceptional", str(f), "catalog", "--n-bound", "0")
+    assert code == EXIT_OK and err == ""
+    rows = json.loads(out)
+    family_iv = [r for r in rows if r["family"] == "iv"]
+    assert len(family_iv) == 1
+    row = family_iv[0]
+    assert row["name"] == "Kex1" and row["params"] == {"eps1": 1, "eps2": -1}
+    assert "pd" in row and "conway" in row
+    assert not any("note" in r for r in rows)
     f.write_text("Kex1\t2\t1\tPD[]\n")
     with pytest.raises(CensusError, match="signs"):
         load_exceptional(str(f))

@@ -33,6 +33,14 @@ def test_parse_unknot_and_loops():
     assert uu.num_components == 2
 
 
+def test_diagram_guards():
+    d = parse_pd(TREFOIL)
+    with pytest.raises(AttributeError, match="Diagram is immutable"):
+        d.free_loops = 2
+    with pytest.raises(DiagramError, match="negative free loop count"):
+        Diagram((), free_loops=-1)
+
+
 def test_degenerate_kinks_are_accepted():
     # Chosen behavior: both one-crossing kink codes are valid unknot
     # diagrams, with the sign pinned by the successor structure.

@@ -148,9 +148,7 @@ def test_node_budget():
 def test_negative_limits_are_rejected():
     with pytest.raises(ValueError, match="max_nodes must be >= 0, got -3"):
         SkeinEngine(max_nodes=-3)
-    with pytest.raises(ValueError, match="memo_capacity must be >= 0, got -1"):
-        SkeinEngine(memo_capacity=-1)
-    eng = SkeinEngine(max_nodes=0, memo_capacity=0)
+    eng = SkeinEngine(max_nodes=0)
     with pytest.raises(BudgetExceededError):
         eng.homfly(TREFOIL)
 
@@ -191,6 +189,15 @@ def test_memo_reuse():
     n1 = eng.nodes_used
     eng.homfly(TREFOIL)
     assert eng.nodes_used == n1 + 1  # one node: cache hit at the root
+
+
+def test_memo_cap_drops_oldest_entries(monkeypatch):
+    t37 = closed_braid([1, 2] * 7, 3)
+    expect = SkeinEngine().homfly(t37)
+    monkeypatch.setattr("clasptools.skein._MEMO_CAP", 4)
+    eng = SkeinEngine()
+    assert eng.homfly(t37) == expect
+    assert len(eng._memo) == 4
 
 
 def test_conway_and_p0_are_read_off_the_memoized_homfly():

@@ -326,6 +326,18 @@ def test_insert_clasp_fuses_components():
         pytest.fail("no mixed-component face found")
 
 
+def test_insert_clasp_rejects_darts_of_two_faces():
+    # A clasp across two faces cannot be drawn in the plane; building it
+    # anyway gave PD text that parse_pd rejects as non-planar.
+    t = closure_tangle(rational_tangle(ExtendedRational(3, 1)))
+    faces = tangle_faces(t)
+    assert len(faces) == 5
+    for i, f in enumerate(faces):
+        for g in faces[i + 1:]:
+            with pytest.raises(ValueError, match="one face"):
+                insert_clasp(t, f[0], g[0], 1)
+
+
 def test_rational_tangle_boundary_and_zero():
     t0 = rational_tangle(ExtendedRational(0, 1))
     assert set(t0.boundary) == {"NW", "NE", "SW", "SE"}
