@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import List, NamedTuple, Optional, Tuple
 
-from .laurent import LaurentPoly, P0_UNLINK_FACTOR
+from .laurent import LaurentPoly
 
 TYPE_X = "X"
 TYPE_II = "II"
@@ -184,9 +184,10 @@ def typeX_sum_of_squares_search(
 
     f1, f2 range over Laurent polynomials with purely even or purely odd
     v-exponents in [-deg_bound, deg_bound] and coefficients bounded by
-    coeff_bound.  Non-exact division (or an odd exponent surviving it) is
-    a definitive refutation for this sign pair; exhausting the bounds or
-    the node cap is reported as inconclusive, never as refutation.
+    coeff_bound.  A non-exact division by v^-2 - 1 (``_unlink_quotient``)
+    or an odd exponent surviving it is a definitive refutation for this
+    sign pair; exhausting the bounds or the node cap is reported as
+    inconclusive, never as refutation.
 
     The depth-first search (``_SquareSearcher``) places its nodes at even
     exponents only and runs on an explicit stack, so any deg_bound is
@@ -196,13 +197,12 @@ def typeX_sum_of_squares_search(
         raise ValueError("signs must be +1 or -1")
     if deg_bound < 0 or coeff_bound < 0 or node_cap < 0:
         raise ValueError("bounds must be nonnegative")
-    if any(ez for (_, ez) in p0_K._terms):
+    if any(ez for (_, ez), _ in p0_K.items()):
         raise ValueError("p0 must be a v-only polynomial")
-    target = p0_K - LaurentPoly.term(1, ev=2 * (eps1 + eps2))
-    r = target.divide_exact(P0_UNLINK_FACTOR)
+    r = _unlink_quotient(p0_K - LaurentPoly.term(1, ev=2 * (eps1 + eps2)))
     if r is None:
         return SquareSearchResult("refuted", "division by v^-2 - 1 is not exact")
-    if any(ev % 2 for (ev, _) in r._terms):
+    if any(ev % 2 for (ev, _), _ in r.items()):
         return SquareSearchResult(
             "refuted", "quotient has odd v-exponents, never a sum of two squares"
         )
@@ -217,6 +217,22 @@ def typeX_sum_of_squares_search(
     if searcher.exhausted_cap:
         return SquareSearchResult("inconclusive", "search node cap exhausted")
     return SquareSearchResult("inconclusive", "no witness within bounds")
+
+
+def _unlink_quotient(p: LaurentPoly) -> Optional[LaurentPoly]:
+    """The v-only q with p = (v^-2 - 1) q, or None if there is none.
+
+    p_e = q_(e+2) - q_e, so from the top exponent down q_e is minus the
+    running sum of p's coefficients of e's parity; the division is exact
+    iff both sums end at 0 (p vanishes at v = 1 and v = -1)."""
+    if p.is_zero():
+        return p
+    sums = [0, 0]
+    q = {}
+    for e in range(p.v_degree(), p.v_min() - 1, -1):
+        sums[e % 2] += p.coefficient(e, 0)
+        q[e, 0] = -sums[e % 2]
+    return LaurentPoly(q) if sums == [0, 0] else None
 
 
 class _SquareSearcher:

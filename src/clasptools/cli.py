@@ -4,7 +4,9 @@ Subcommands: ``invariants``, ``clasp-obstruct``, ``montesinos``,
 ``catalog``, ``openbook``, ``corollary12``.  Machine-readable JSON goes
 to stdout, diagnostics to stderr.  Exit codes: 0 success, 2 unknown
 census name, 3 parse error, 4 node budget exceeded, 1 anything else
-(usage errors and unreadable data files included).
+(usage errors and unreadable data files included).  Each ``cmd_*``
+returns a JSON-able payload; ``main`` alone writes stdout and maps
+exceptions to exit codes.
 
 Every setting is a flag: ``--node-budget`` (skein nodes per query),
 ``--census`` and ``--exceptional`` (data files), and ``clasp-obstruct
@@ -43,6 +45,11 @@ class UnknownNameError(LookupError):
     """A knot argument is neither PD text nor a name in the census."""
 
 
+# Searched in order: DiagramError and CensusError (exit 1) are ValueErrors too.
+_EXIT_CODES = ((BudgetExceededError, EXIT_BUDGET), (UnknownNameError, EXIT_UNKNOWN_NAME),
+               (DiagramError, EXIT_PARSE), (ValueError, EXIT_ERROR))
+
+
 def _resolve_diagram(name_or_pd: str, census_path):
     if name_or_pd.strip().startswith("PD["):
         return parse_pd(name_or_pd)
@@ -77,8 +84,7 @@ def _invariants_payload(name, d, eng):
 def cmd_invariants(args):
     eng = SkeinEngine(max_nodes=args.node_budget)
     d = _resolve_diagram(args.knot, args.census)
-    print(json.dumps(_invariants_payload(args.knot, d, eng), indent=2))
-    return EXIT_OK
+    return _invariants_payload(args.knot, d, eng)
 
 
 def cmd_clasp_obstruct(args):
@@ -99,8 +105,7 @@ def cmd_clasp_obstruct(args):
             for p in sols
         ]
         payload[f"type{t}_solutions_within_bound"] = len(sols)
-    print(json.dumps(payload, indent=2))
-    return EXIT_OK
+    return payload
 
 
 def cmd_montesinos(args):
@@ -112,8 +117,7 @@ def cmd_montesinos(args):
     payload = _invariants_payload(str(m), d, eng)
     payload["pd"] = d.pd_text()
     payload["is_knot"] = d.num_components == 1
-    print(json.dumps(payload, indent=2))
-    return EXIT_OK
+    return payload
 
 
 def cmd_catalog(args):
@@ -135,8 +139,7 @@ def cmd_catalog(args):
             row["a2"] = nabla.coefficient(0, 2)
             row["a4"] = nabla.coefficient(0, 4)
         rows.append(row)
-    print(json.dumps(rows, indent=2))
-    return EXIT_OK
+    return rows
 
 
 def cmd_openbook(args):
@@ -147,17 +150,8 @@ def cmd_openbook(args):
             a, b, c = (int(x) for x in args.triple.split(","))
         except ValueError:
             raise ValueError("--triple takes three integers a,b,c") from None
-        v = classify_triple(OpenBookTriple(a, b, c))
-        print(json.dumps({
-            "triple": v.triple,
-            "normalized": v.normalized,
-            "verdict": v.verdict,
-            "certificate": v.certificate,
-        }, indent=2))
-        return EXIT_OK
-    rows = s3_openbook_report(args.scan)
-    print(json.dumps(rows, indent=2))
-    return EXIT_OK
+        return classify_triple(OpenBookTriple(a, b, c))._asdict()
+    return s3_openbook_report(args.scan)
 
 
 def cmd_corollary12(args):
@@ -200,7 +194,7 @@ def cmd_corollary12(args):
         matches = [
             cname
             for cname, (cn, cp) in catalog_pairs
-            if (cn == nabla and cp == p0) or (cn == nabla and cp == p0.invert_v())
+            if cn == nabla and cp in (p0, p0.invert_v())
         ]
         ok = a2 % 2 == 0 and a4 in (1, -1) and typeX_parity_obstruction(a2, a4) and not matches
         report["knots"].append({
@@ -211,8 +205,7 @@ def cmd_corollary12(args):
             "catalog_matches": matches,
             "verdict": "cl >= 3" if ok else "INCONSISTENT",
         })
-    print(json.dumps(report, indent=2))
-    return EXIT_OK
+    return report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,19 +255,11 @@ def main(argv=None) -> int:
             return EXIT_ERROR
         raise
     try:
-        return args.func(args)
-    except BudgetExceededError as e:
+        print(json.dumps(args.func(args), indent=2))
+    except tuple(exc for exc, _ in _EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_BUDGET
-    except UnknownNameError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_UNKNOWN_NAME
-    except DiagramError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except (CensusError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
+        return next(code for exc, code in _EXIT_CODES if isinstance(e, exc))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

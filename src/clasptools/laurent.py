@@ -76,11 +76,6 @@ class LaurentPoly:
             return None
         return max(ez for _, ez in self._terms)
 
-    def z_min(self) -> Optional[int]:
-        if not self._terms:
-            return None
-        return min(ez for _, ez in self._terms)
-
     def v_degree(self) -> Optional[int]:
         if not self._terms:
             return None
@@ -131,14 +126,8 @@ class LaurentPoly:
         for (av, az), ac in self._terms.items():
             for (bv, bz), bc in other._terms.items():
                 k = (av + bv, az + bz)
-                s = t.get(k, 0) + ac * bc
-                if s:
-                    t[k] = s
-                else:
-                    t.pop(k, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = t
-        return out
+                t[k] = t.get(k, 0) + ac * bc
+        return LaurentPoly(t)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -180,12 +169,7 @@ class LaurentPoly:
         for (ev, ez), c in self._terms.items():
             if value == -1 and ev % 2:
                 c = -c
-            k = (0, ez)
-            s = t.get(k, 0) + c
-            if s:
-                t[k] = s
-            else:
-                t.pop(k, None)
+            t[0, ez] = t.get((0, ez), 0) + c
         return LaurentPoly(t)
 
     def invert_v(self) -> "LaurentPoly":
@@ -198,43 +182,8 @@ class LaurentPoly:
         for (ev, ez), c in self._terms.items():
             if ez % 2 or ez < 0:
                 raise ValueError("eval_z_squared needs even nonnegative z-exponents")
-            k = (ev, 0)
-            s = t.get(k, 0) + c * z2 ** (ez // 2)
-            if s:
-                t[k] = s
-            else:
-                t.pop(k, None)
+            t[ev, 0] = t.get((ev, 0), 0) + c * z2 ** (ez // 2)
         return LaurentPoly(t)
-
-    def divide_exact(self, divisor: "LaurentPoly") -> Optional["LaurentPoly"]:
-        """Exact quotient self / divisor, or None if the division leaves a remainder.
-
-        Both operands are shifted to nonnegative exponents first; minimal
-        exponents are additive under multiplication (the lowest slice of a
-        product never cancels entirely), so exactness is preserved and the
-        leading-term reduction terminates.
-        """
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return LaurentPoly.zero()
-        nv, nz = self.v_min(), self.z_min()
-        dv0, dz0 = divisor.v_min(), divisor.z_min()
-        rem = self.shift(-nv, -nz)
-        div = divisor.shift(-dv0, -dz0)
-        lead = max(div._terms, key=lambda k: (k[1], k[0]))
-        lc = div._terms[lead]
-        quot: dict = {}
-        while rem._terms:
-            rk = max(rem._terms, key=lambda k: (k[1], k[0]))
-            rc = rem._terms[rk]
-            dv, dz = rk[0] - lead[0], rk[1] - lead[1]
-            if rc % lc or dv < 0 or dz < 0:
-                return None
-            q = rc // lc
-            quot[(dv, dz)] = quot.get((dv, dz), 0) + q
-            rem = rem - div.shift(dv, dz, q)
-        return LaurentPoly(quot).shift(nv - dv0, nz - dz0)
 
     # -- text form ----------------------------------------------------
 

@@ -326,15 +326,18 @@ def insert_clasp(t: Tangle, dart_a: End, dart_b: End, sign: int) -> Tangle:
     west flank on arc a and east flank on arc b, fusing the two strands.
     Clockwise around the face the cut ends come as a1, a2, b1, b2, and the
     block's ends SW, NW, NE, SE take them in that order: the one planar way.
-    Darts of two different faces have no planar clasp and raise ValueError.
+    A sign other than +-1, or darts not both on one face (unknown darts
+    included), raise ValueError.
     """
+    if sign not in (1, -1):
+        raise ValueError("clasp sign must be +1 or -1")
+    if not any(dart_a in f and dart_b in f for f in tangle_faces(t)):
+        raise ValueError("clasp darts must lie on one face")
     out = t.copy()
     a1, a2 = dart_a, out.pair[dart_a]
     b1, b2 = dart_b, out.pair[dart_b]
     if {a1, a2} == {b1, b2}:
         raise ValueError("clasp needs two distinct arcs")
-    if not any(dart_a in f and dart_b in f for f in tangle_faces(t)):
-        raise ValueError("clasp darts must lie on one face")
     bmap = out._absorb(horizontal_twists(2 * sign))
     for cut in (a1, a2, b1, b2):
         del out.pair[cut]
@@ -525,14 +528,11 @@ def theorem1_catalog(n_bound: int, census, exceptional) -> List[CatalogEntry]:
 
     for n in range(-n_bound, n_bound + 1):
         for eps in (1, -1):
-            q = 4 * n + eps
-            fam(ExtendedRational(1, 2), ExtendedRational(-2, 3), ExtendedRational(2, q), n, f"K(1/2,-2/3,2/(4n{eps:+d}))")
-            fam(ExtendedRational(1, 2), ExtendedRational(-2, 5), ExtendedRational(2, q), n, f"K(1/2,-2/5,2/(4n{eps:+d}))")
+            for k in (3, 5):
+                fam(ExtendedRational(1, 2), ExtendedRational(-2, k), ExtendedRational(2, 4 * n + eps), n, f"K(1/2,-2/{k},2/(4n{eps:+d}))")
         if n != 0:
-            fam(ExtendedRational(1, 2 * n), ExtendedRational(2, 3), ExtendedRational(-2, 3), n, "K(1/(2n),2/3,-2/3)")
-            fam(ExtendedRational(1, 2 * n), ExtendedRational(2, 3), ExtendedRational(-2, 5), n, "K(1/(2n),2/3,-2/5)")
-            fam(ExtendedRational(1, 2 * n), ExtendedRational(2, 5), ExtendedRational(-2, 3), n, "K(1/(2n),2/5,-2/3)")
-            fam(ExtendedRational(1, 2 * n), ExtendedRational(2, 5), ExtendedRational(-2, 5), n, "K(1/(2n),2/5,-2/5)")
+            for k, j in ((3, 3), (3, 5), (5, 3), (5, 5)):
+                fam(ExtendedRational(1, 2 * n), ExtendedRational(2, k), ExtendedRational(-2, j), n, f"K(1/(2n),2/{k},-2/{j})")
 
     for e in entries:
         if e.diagram is not None and e.diagram.num_components != 1:

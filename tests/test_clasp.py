@@ -17,7 +17,7 @@ from clasptools.clasp import (
     typeX_parity_obstruction,
     typeX_sum_of_squares_search,
 )
-from clasptools.laurent import LaurentPoly
+from clasptools.laurent import P0_UNLINK_FACTOR, LaurentPoly
 from oracle import enumerate_params_scan
 
 P = LaurentPoly.parse
@@ -173,6 +173,25 @@ def test_p0_model_specializes_to_one_at_v_1(p, c1, c2):
     else:
         m = p0_model(p, comp1, comp2)
     assert m.substitute_v(1) == LaurentPoly.one()
+
+
+def test_unlink_quotient():
+    unlink_quotient = clasp._unlink_quotient
+    assert unlink_quotient(P("2*v^2 + -2*v^4")) == P("2*v^4")
+    assert unlink_quotient(P("1*v^2 + 1")) is None
+    assert unlink_quotient(LaurentPoly.zero()) == LaurentPoly.zero()
+    # Vanishes at v = 1 but not at v = -1: no quotient.
+    assert unlink_quotient(P("1*v + -1*v^2")) is None
+    # An odd-exponent multiple divides exactly.
+    odd = P("3*v^-1 + -2*v^5")
+    assert unlink_quotient(odd * P0_UNLINK_FACTOR) == odd
+
+
+@given(st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_unlink_quotient_inverts_multiplication(terms):
+    p = LaurentPoly({(ev, 0): c for ev, c in terms.items()})
+    assert clasp._unlink_quotient(p * P0_UNLINK_FACTOR) == p
 
 
 def test_sum_of_squares_examples():

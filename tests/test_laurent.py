@@ -54,13 +54,6 @@ def test_extract_p_i_rejects_malformed():
         extract_p_i(LaurentPoly.term(1, ez=-2), 1, 0)  # negative after normalizing
 
 
-def test_divide_exact():
-    num = P("2*v^2 + -2*v^4")
-    assert num.divide_exact(P0_UNLINK_FACTOR) == P("2*v^4")
-    assert P("1*v^2 + 1").divide_exact(P0_UNLINK_FACTOR) is None
-    assert LaurentPoly.zero().divide_exact(P0_UNLINK_FACTOR) == LaurentPoly.zero()
-
-
 def test_text_round_trip_examples():
     p = LaurentPoly({(4, 0): -1, (2, 0): 2, (2, 2): 1})
     assert p.to_text() == "2*v^2 + -1*v^4 + 1*v^2*z^2"
@@ -123,13 +116,6 @@ def test_term_converts_to_int():
 @settings(max_examples=100, deadline=None)
 def test_text_round_trip(p):
     assert LaurentPoly.parse(p.to_text()) == p
-
-
-@given(polys)
-@settings(max_examples=60, deadline=None)
-def test_division_inverts_multiplication(p):
-    prod = p * P0_UNLINK_FACTOR
-    assert prod.divide_exact(P0_UNLINK_FACTOR) == p
 
 
 def test_reassembly_of_coefficient_polys():

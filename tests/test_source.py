@@ -68,3 +68,28 @@ def test_package_table_names_top_level_definitions():
                 defined |= {t.id for t in targets if isinstance(t, ast.Name)}
         missing += [f"{module}.{name}" for name in names if name not in defined]
     assert table and not missing, missing
+
+
+def test_only_laurent_reads_the_term_dict():
+    # LaurentPoly's term dict is private to laurent.py; other modules go
+    # through its public methods, so its storage can change in one place.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "laurent.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "_terms"]
+    assert SRC.is_dir() and not found, found
+
+
+def test_cli_prints_only_in_main():
+    # Commands return their payloads; main alone writes stdout and stderr.
+    tree = ast.parse((SRC / "cli.py").read_text())
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    in_main = {id(node) for node in ast.walk(main)}
+    stray = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "print" and id(node) not in in_main]
+    assert not stray, stray

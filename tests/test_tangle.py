@@ -338,6 +338,23 @@ def test_insert_clasp_rejects_darts_of_two_faces():
                 insert_clasp(t, f[0], g[0], 1)
 
 
+@pytest.mark.parametrize("sign", [0, 2])
+def test_insert_clasp_rejects_a_sign_other_than_one(sign):
+    # A clasp is the [+-2] block: sign 0 would lay no crossings, sign 2 four.
+    t = closure_tangle(rational_tangle(ExtendedRational(3, 1)))
+    f = tangle_faces(t)[0]
+    with pytest.raises(ValueError, match="sign"):
+        insert_clasp(t, f[0], f[1], sign)
+
+
+def test_insert_clasp_rejects_an_unknown_dart():
+    # An unknown dart lies on no face, so it gets the two-face ValueError.
+    t = closure_tangle(rational_tangle(ExtendedRational(3, 1)))
+    f = tangle_faces(t)[0]
+    with pytest.raises(ValueError, match="one face"):
+        insert_clasp(t, f[0], 99, 1)
+
+
 def test_rational_tangle_boundary_and_zero():
     t0 = rational_tangle(ExtendedRational(0, 1))
     assert set(t0.boundary) == {"NW", "NE", "SW", "SE"}
