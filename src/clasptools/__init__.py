@@ -18,8 +18,7 @@ _EXPORTS = {
     "openbook": ("OpenBookTriple", "classify_triple", "s3_openbook_report", "todd_coxeter"),
     "skein": ("BudgetExceededError", "SkeinEngine"),
     "tangle": ("ExtendedRational", "MontesinosDesc", "closed_braid", "continued_fraction",
-               "montesinos_diagram", "montesinos_equivalent", "pretzel_diagram",
-               "theorem1_catalog", "two_bridge_diagram"),
+               "montesinos_diagram", "montesinos_equivalent", "pretzel_diagram", "theorem1_catalog"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_OWNER)

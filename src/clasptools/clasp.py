@@ -67,20 +67,6 @@ def conway_model(p: ClaspParams) -> LaurentPoly:
     return LaurentPoly({(0, 0): 1, (0, 2): a2, (0, 4): a4})
 
 
-def link_to_params(lk12: int, lk13: int, lk23: int) -> Tuple[int, int, int]:
-    """(l, l1, l2) from the pairwise linking numbers of the smoothed link.
-
-    Inverts lk(K1,K2) = -l, lk(K1,K3) = l1 + l, lk(K2,K3) = l2 + l.
-    """
-    l = -lk12
-    return l, lk13 - l, lk23 - l
-
-
-def params_to_link(l: int, l1: int, l2: int) -> Tuple[int, int, int]:
-    """(lk12, lk13, lk23) of the type-II smoothed link."""
-    return -l, l1 + l, l2 + l
-
-
 def enumerate_params(a2: int, a4: int, disk_type: str, bound: int) -> List[ClaspParams]:
     """All parameters with |l1|, |l2|, |l| <= bound realizing (a2, a4).
 

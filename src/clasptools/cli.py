@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .census import COROLLARY12_NAMES, CensusError, load_census, load_exceptional
@@ -208,8 +209,18 @@ def cmd_corollary12(args):
     return report
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument that starts with '-' and a digit as a value, so that
+    ``--desc -2/3,2,1/2`` and ``--triple -2,3,7`` work as their ``=`` forms
+    do; no option of this parser looks like that."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="clasptools")
+    ap = _Parser(prog="clasptools")
     ap.add_argument("--census", help="census file override")
     ap.add_argument("--exceptional", help="exceptional-knot file override")
     ap.add_argument("--node-budget", type=int, default=10_000_000,

@@ -134,38 +134,12 @@ class Diagram:
     def num_components(self) -> int:
         return len(self.components) + self.free_loops
 
-    def component_of(self, edge: int) -> int:
-        return self._comp_of[edge]
-
     def incoming_at(self, edge: int) -> Tuple[int, int]:
         """(crossing index, port) where the edge terminates."""
         return self._head[edge]
 
-    def writhe(self) -> int:
-        return sum(self.signs)
-
     def is_knot(self) -> bool:
         return self.num_components == 1
-
-    def linking_number(self, i: int, j: int) -> int:
-        """Half the signed count of crossings between components i and j."""
-        n = self.num_components
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError("component index out of range")
-        if i == j:
-            raise ValueError("linking number needs two distinct components")
-        k_edge = len(self.components)
-        if i >= k_edge or j >= k_edge:
-            return 0  # free loops link nothing
-        total = 0
-        for q, s in zip(self.crossings, self.signs):
-            cu = self._comp_of[q[0]]
-            co = self._comp_of[q[1]]
-            if (cu, co) in ((i, j), (j, i)):
-                total += s
-        if total % 2:
-            raise DiagramError("odd inter-component crossing count")
-        return total // 2
 
     # -- moves ---------------------------------------------------------
 
@@ -202,63 +176,6 @@ class Diagram:
             return self
         b = _Builder.from_diagram(self.disjoint_union(other))
         b.cross_join(1, self.num_edges + 1)
-        return b.to_diagram()
-
-    def reverse_components(self, which) -> "Diagram":
-        """Reverse the orientation of the given edge components (by index).
-
-        Labels inside each reversed component's block run backward; a
-        crossing's quadruple rotates by two when its under strand is
-        reversed, and its sign flips when exactly one of its two strands
-        is reversed.
-        """
-        which = set(which)
-        k_edge = len(self.components)
-        if any(not (0 <= i < k_edge) for i in which):
-            raise IndexError("component index out of range")
-        relabel = {}
-        for ci, cyc in enumerate(self.components):
-            if ci in which:
-                base, k = cyc[0], len(cyc)
-                for i, e in enumerate(cyc):
-                    relabel[e] = base + (k - 1 - i)
-            else:
-                for e in cyc:
-                    relabel[e] = e
-        quads = []
-        signs = []
-        for (a, b, c, d), s in zip(self.crossings, self.signs):
-            under_rev = self._comp_of[a] in which
-            over_rev = self._comp_of[b] in which
-            q = (a, b, c, d) if not under_rev else (c, d, a, b)
-            quads.append(tuple(relabel[e] for e in q))
-            signs.append(s if under_rev == over_rev else -s)
-        return _by_under_in(quads, signs, self.free_loops)
-
-    def delete_components(self, which) -> "Diagram":
-        """Remove the given edge components (a sublink of the rest remains)."""
-        which = set(which)
-        k_edge = len(self.components)
-        if any(not (0 <= i < k_edge) for i in which):
-            raise IndexError("component index out of range")
-        b = _Builder.from_diagram(self)
-        for k, (q, s) in enumerate(zip(self.crossings, self.signs)):
-            cu = self._comp_of[q[0]]
-            co = self._comp_of[q[1]]
-            if cu in which and co in which:
-                del b.cr[k]
-            elif co in which:
-                del b.cr[k]
-                b.splice(q[0], q[2])  # under strand passes straight through
-            elif cu in which:
-                del b.cr[k]
-                oi, oo = _over_in_port(s), _over_out_port(s)
-                b.splice(q[oi], q[oo])
-        for ci in which:
-            for e in self.components[ci]:
-                aid = b.find(e)
-                if aid in b.head:
-                    del b.tail[aid], b.head[aid]
         return b.to_diagram()
 
     def disjoint_union(self, other: "Diagram") -> "Diagram":
@@ -421,10 +338,6 @@ class Diagram:
     @classmethod
     def unknot(cls) -> "Diagram":
         return cls((), free_loops=1)
-
-    @classmethod
-    def unlink(cls, n: int) -> "Diagram":
-        return cls((), free_loops=n)
 
 
 _PD_TOKEN = re.compile(r"X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]|U")

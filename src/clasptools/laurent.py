@@ -16,7 +16,7 @@ back losslessly.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Iterator, Mapping, Optional, Tuple
 
 Exponents = Tuple[int, int]
 
@@ -176,15 +176,6 @@ class LaurentPoly:
         """Substitute v -> v^-1 (the mirror action on v-only polynomials)."""
         return LaurentPoly({(-ev, ez): c for (ev, ez), c in self._terms.items()})
 
-    def eval_z_squared(self, z2: int) -> "LaurentPoly":
-        """Substitute z^2 -> the integer z2; all z-exponents must be even."""
-        t: dict = {}
-        for (ev, ez), c in self._terms.items():
-            if ez % 2 or ez < 0:
-                raise ValueError("eval_z_squared needs even nonnegative z-exponents")
-            t[ev, 0] = t.get((ev, 0), 0) + c * z2 ** (ez // 2)
-        return LaurentPoly(t)
-
     # -- text form ----------------------------------------------------
 
     def to_text(self) -> str:
@@ -266,11 +257,3 @@ def extract_p_i(P: LaurentPoly, num_components: int, i: int) -> LaurentPoly:
                 f"not a {num_components}-component HOMFLY polynomial"
             )
     return norm.z_coefficient(2 * i)
-
-
-def assemble_from_p_i(parts: Iterable[LaurentPoly], num_components: int) -> LaurentPoly:
-    """Inverse of extract_p_i: rebuild P from its coefficient polynomials."""
-    acc = LaurentPoly.zero()
-    for i, p in enumerate(parts):
-        acc = acc + p.shift(0, 2 * i)
-    return acc.shift(num_components - 1, -(num_components - 1))

@@ -393,13 +393,11 @@ def pretzel_diagram(*twists: int) -> Diagram:
     return closure(reduce(tangle_sum, map(vertical_twists, twists)))
 
 
-def closed_braid(word: Sequence[int], n_strands: int, axis: Optional[str] = None) -> Diagram:
+def closed_braid(word: Sequence[int], n_strands: int) -> Diagram:
     """Closure of a braid word (nonzero ints, sign = crossing handedness).
 
-    Strands run down the braid.  With ``axis="over-first"`` a ring is
-    threaded around the closure arcs, over every strand on the front pass
-    and back under all of them: the braid axis.  Unused positions close
-    into split unknots.  Raises ValueError when n_strands < 1.
+    Strands run down the braid.  Unused positions close into split
+    unknots.  Raises ValueError when n_strands < 1.
     """
     if n_strands < 1:
         raise ValueError("n_strands must be >= 1")
@@ -426,42 +424,12 @@ def closed_braid(word: Sequence[int], n_strands: int, axis: Optional[str] = None
         cur[i + 1] = 4 * c + slots["SE"]
         down.update(cur[i:i + 2])
 
-    if axis is None:
-        for j in range(n_strands):
-            if first_in[j] is None:
-                t.loops += 1
-            else:
-                t._join(cur[j], first_in[j])
-        return _emit(t, down)
-    if axis != "over-first":
-        raise ValueError("axis must be None or 'over-first'")
-
-    # Thread the closure arcs through the axis ring: front crossings
-    # (ring over, strand through slots 0/2) then back crossings (ring
-    # under).  Front: slots (N, W, S, E) = (0, 1, 2, 3); back: (E, N, W, S).
-    # ``fronts`` and ``backs`` hold each crossing's dart 4c + 0.
-    fronts = [4 * (t.num_crossings + 2 * j) for j in range(n_strands)]
-    backs = [f + 4 for f in fronts]
-    t.num_crossings += 2 * n_strands
-    for j, (f, b) in enumerate(zip(fronts, backs)):
-        down.update((f + 2, b + 3))
-        t._join(f + 2, b + 1)
+    for j in range(n_strands):
         if first_in[j] is None:
-            t._join(b + 3, f)  # untouched position: bare ring pass
+            t.loops += 1
         else:
-            t._join(cur[j], f)
-            t._join(b + 3, first_in[j])
-    for k in range(n_strands - 1):
-        t._join(fronts[k] + 3, fronts[k + 1] + 1)
-        t._join(backs[k + 1] + 2, backs[k])
-    t._join(fronts[-1] + 3, backs[-1])
-    t._join(backs[0] + 2, fronts[0] + 1)
+            t._join(cur[j], first_in[j])
     return _emit(t, down)
-
-
-def two_bridge_diagram(r: ExtendedRational) -> Diagram:
-    """Numerator closure of the single rational tangle Q(p/q)."""
-    return closure(rational_tangle(r))
 
 
 class CatalogEntry(NamedTuple("CatalogEntry", [

@@ -24,6 +24,11 @@ matrix, which checks the Conway polynomial of any diagram without a skein
 relation: Delta(s^2) = +-s^k Nabla(s - 1/s).
 And ``enumerate_params_scan`` scans every l1 in the bound, the reference
 for ``clasp.enumerate_params``, which solves one conic instead.
+Last, ``linking_number`` counts the signed crossings between two
+components, the reference for the linking numbers of braid closures,
+mirrors and switched crossings, and ``reverse_all_components`` reverses
+every component, the reference for HOMFLY's invariance under that move;
+the library itself needs neither.
 """
 
 from functools import lru_cache
@@ -551,3 +556,24 @@ def enumerate_params_scan(a2, a4, disk_type, bound):
                     if abs(l) <= bound:
                         out.append(ClaspParams(e1, e2, l1, l2, l, disk_type))
     return sorted(out)
+
+
+def linking_number(d: Diagram, i: int, j: int) -> int:
+    """Half the signed count of the crossings between edge components i and
+    j != i of d; free loops, numbered after them, link nothing.  An odd count
+    means a bad diagram and raises ValueError."""
+    comp = {e: c for c, cyc in enumerate(d.components) for e in cyc}
+    total = sum(s for q, s in zip(d.crossings, d.signs)
+                if (comp[q[0]], comp[q[1]]) in ((i, j), (j, i)))
+    if total % 2:
+        raise ValueError("odd inter-component crossing count")
+    return total // 2
+
+
+def reverse_all_components(d: Diagram) -> Diagram:
+    """d with every component reversed: labels run backward in each
+    component's block and every quadruple starts at its new under-in edge,
+    two ports on; a crossing's two strands both turn, so its sign stays."""
+    new = {e: cyc[-1 - k] for cyc in d.components for k, e in enumerate(cyc)}
+    quads = [tuple(new[e] for e in (c, dd, a, b)) for a, b, c, dd in d.crossings]
+    return Diagram._trusted(quads, d.signs, d.free_loops)

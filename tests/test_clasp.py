@@ -10,10 +10,8 @@ from clasptools.clasp import (
     conway_model,
     enumerate_params,
     kadokami_kawamura_excluded,
-    link_to_params,
     model_coefficients,
     p0_model,
-    params_to_link,
     typeX_parity_obstruction,
     typeX_sum_of_squares_search,
 )
@@ -46,17 +44,6 @@ def test_conway_model_shape(p):
 @settings(max_examples=200, deadline=None)
 def test_clasp_relabeling_symmetry(p):
     assert conway_model(p.swapped()) == conway_model(p)
-
-
-def test_link_to_params():
-    assert link_to_params(0, 0, 0) == (0, 0, 0)
-    assert link_to_params(-1, 1, 1) == (1, 0, 0)
-
-
-@given(small, small, small)
-@settings(max_examples=100, deadline=None)
-def test_link_round_trip(l, l1, l2):
-    assert link_to_params(*params_to_link(l, l1, l2)) == (l, l1, l2)
 
 
 def test_enumerate_params_examples():

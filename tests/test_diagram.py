@@ -10,7 +10,12 @@ from clasptools.diagram import Diagram, DiagramError, _Builder, parse_pd
 from clasptools.skein import SkeinEngine
 from clasptools.tangle import closed_braid
 
-from oracle import canonical_code_bruteforce, pd_code_is_valid, simplify_restart_scan
+from oracle import (
+    canonical_code_bruteforce,
+    linking_number,
+    pd_code_is_valid,
+    simplify_restart_scan,
+)
 
 TREFOIL = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
 FIG8 = "PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]"
@@ -23,7 +28,7 @@ def test_parse_trefoil():
     assert d.num_crossings == 3
     assert d.signs == (1, 1, 1)
     assert d.num_components == 1
-    assert d.writhe() == 3
+    assert sum(d.signs) == 3
 
 
 def test_parse_unknot_and_loops():
@@ -118,7 +123,7 @@ def test_split_over_component_orientation_rule():
     reversed_reading = Diagram._trusted(d.crossings, (1, -1), 0)
     assert parse_pd(reversed_reading.pd_text()) == d
     eng = SkeinEngine()
-    assert eng.homfly(reversed_reading) == eng.homfly(d) == eng.homfly(Diagram.unlink(2))
+    assert eng.homfly(reversed_reading) == eng.homfly(d) == eng.homfly(Diagram((), 2))
 
 
 def test_components():
@@ -132,12 +137,9 @@ def test_components():
 def test_linking_number():
     hp = parse_pd(HOPF_POS)
     assert hp.signs == (1, 1)
-    assert hp.linking_number(0, 1) == 1
-    assert hp.linking_number(1, 0) == 1
-    assert hp.mirror().linking_number(0, 1) == -1
-    assert Diagram.unlink(2).linking_number(0, 1) == 0
-    with pytest.raises(ValueError):
-        hp.linking_number(0, 0)
+    assert linking_number(hp, 0, 1) == linking_number(hp, 1, 0) == 1
+    assert linking_number(hp.mirror(), 0, 1) == -1
+    assert linking_number(Diagram((), 2), 0, 1) == 0
 
 
 def test_switch_crossing():
@@ -147,7 +149,7 @@ def test_switch_crossing():
     assert sw.switch_crossing(0).canonical_code() == t.canonical_code()
     hp = parse_pd(HOPF_POS)
     hm = hp.switch_crossing(0).switch_crossing(1)
-    assert hm.linking_number(0, 1) == -1
+    assert linking_number(hm, 0, 1) == -1
     with pytest.raises(IndexError):
         t.switch_crossing(3)
 
@@ -179,7 +181,7 @@ def test_canonical_code():
     rotated = parse_pd("PD[X[3,6,4,1],X[5,2,6,3],X[1,4,2,5]]")
     assert rotated.canonical_code() == t.canonical_code()
     assert parse_pd(FIG8).canonical_code() != t.canonical_code()
-    assert Diagram.unlink(2).canonical_code() == Diagram.unlink(2).canonical_code()
+    assert Diagram((), 2).canonical_code() == Diagram((), 2).canonical_code()
     assert t.canonical_code() != t.mirror().canonical_code()
 
 
@@ -241,12 +243,13 @@ def test_canonical_code_matches_bruteforce_classes(base, extra, rnd):
 
 def test_canonical_code_has_no_component_cap():
     hopf = parse_pd(HOPF_POS)
-    five = hopf
-    for _ in range(4):
-        five = five.disjoint_union(hopf)
+    four = hopf
+    for _ in range(3):
+        four = four.disjoint_union(hopf)
+    five = four.disjoint_union(hopf)
     assert five.num_components == 10
     assert _relabel(five, random.Random(0)).canonical_code() == five.canonical_code()
-    one_mirrored = five.delete_components([8, 9]).disjoint_union(hopf.mirror())
+    one_mirrored = four.disjoint_union(hopf.mirror())
     assert one_mirrored.canonical_code() != five.canonical_code()
 
 
@@ -259,9 +262,9 @@ def _ties():
     yield closed_braid([1, 2, 3] * 4, 4)  # T(4,4)
     union = pos
     for _ in range(3):
+        yield union.disjoint_union(pos.mirror())  # one Hopf link mirrored
         union = union.disjoint_union(pos)
         yield union
-        yield union.delete_components([0, 1]).disjoint_union(pos.mirror())
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -352,7 +355,7 @@ def test_inter_component_crossing_count_even():
         for i in range(d.num_components):
             for j in range(d.num_components):
                 if i != j:
-                    d.linking_number(i, j)  # raises if the count were odd
+                    linking_number(d, i, j)  # raises if the count were odd
 
 
 def test_pd_text_round_trip():
@@ -361,25 +364,3 @@ def test_pd_text_round_trip():
         again = parse_pd(d.pd_text())
         assert again.crossings == d.crossings
         assert again.signs == d.signs
-
-
-def test_reverse_components():
-    hp = parse_pd(HOPF_POS)
-    assert hp.reverse_components([0]).linking_number(0, 1) == -1
-    assert hp.reverse_components([0, 1]).linking_number(0, 1) == 1
-    t = parse_pd(TREFOIL)
-    double = t.reverse_components([0]).reverse_components([0])
-    assert double.canonical_code() == t.canonical_code()
-    with pytest.raises(IndexError):
-        t.reverse_components([1])
-
-
-def test_delete_components():
-    hp = parse_pd(HOPF_POS)
-    u = hp.delete_components([0])
-    assert u.num_components == 1 and u.simplify().num_crossings == 0
-    t = parse_pd(TREFOIL)
-    tu = t.disjoint_union(parse_pd(FIG8))
-    assert tu.num_components == 2
-    only_t = tu.delete_components([1])
-    assert only_t.canonical_code() == t.canonical_code()

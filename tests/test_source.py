@@ -50,13 +50,17 @@ def test_every_flag_is_read():
     assert dests and dests <= reads, sorted(dests - reads)
 
 
+def _export_table():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets))
+
+
 def test_package_table_names_top_level_definitions():
     # clasptools/__init__.py imports a public name's submodule only on first
     # access; a renamed or moved definition would otherwise fail only there.
-    tree = ast.parse((SRC / "__init__.py").read_text())
-    table = next(ast.literal_eval(node.value) for node in tree.body
-                 if isinstance(node, ast.Assign)
-                 and any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets))
+    table = _export_table()
     missing = []
     for module, names in table.items():
         defined = set()
@@ -93,3 +97,61 @@ def test_cli_prints_only_in_main():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "print" and id(node) not in in_main]
     assert not stray, stray
+
+
+# Public names with no caller yet, each kept for the paper.
+_UNCALLED_BY_DESIGN = (
+    ("p0_model", "the paper's p0 formula for a two-clasp knot, to check catalog knots"),
+    ("insert_clasp", "the paper's clasp insertion, to build non-braided clasp-two diagrams"),
+    ("pretzel_diagram", "the paper's pretzel knots, to build non-braided test diagrams"),
+)
+
+
+def _uses(path, strings=False):
+    """Identifiers a file uses (names, attributes, imported names and, with
+    ``strings``, the dotted parts of string constants), leaving out each use
+    inside a definition of the same name."""
+    used = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        words = []
+        if isinstance(node, ast.Name):
+            words = [node.id]
+        elif isinstance(node, ast.Attribute):
+            words = [node.attr]
+        elif isinstance(node, ast.alias):
+            words = node.name.split(".")
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            words = node.value.split(".")
+        used.update(w for w in words if w not in inside)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), frozenset())
+    return used
+
+
+def test_every_public_name_has_a_caller():
+    # A public name that no module, benchmark or acceptance test calls is
+    # surface kept for its own tests.  Covered: the package table, the
+    # public top-level definitions of every submodule and the public
+    # methods of Diagram and LaurentPoly; the string targets in
+    # bench/tracing.py count as calls.
+    names = {n for names in _export_table().values() for n in names}
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+                names.add(node.name)
+                if node.name in ("Diagram", "LaurentPoly"):
+                    names |= {f.name for f in node.body
+                              if isinstance(f, ast.FunctionDef) and f.name[0] != "_"}
+    used = set()
+    for path in SRC.glob("*.py"):
+        used |= _uses(path)
+    for path in (SRC.parent.parent / "bench").glob("*.py"):
+        used |= _uses(path, strings=True)
+    used |= _uses(SRC.parent.parent / "tests" / "test_acceptance.py")
+    exempt = {name for name, _ in _UNCALLED_BY_DESIGN}
+    assert names - used == exempt, ", ".join(sorted((names - used) ^ exempt))

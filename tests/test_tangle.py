@@ -28,11 +28,10 @@ from clasptools.tangle import (
     tangle_faces,
     tangle_sum,
     theorem1_catalog,
-    two_bridge_diagram,
     vertical_twists,
 )
 
-from oracle import pd_code_is_valid
+from oracle import linking_number, pd_code_is_valid
 
 eng = SkeinEngine()
 
@@ -87,8 +86,8 @@ def test_rational_tangle_crossing_count():
 
 
 def _det(d):
-    nabla = eng.conway(d)
-    return abs(nabla.eval_z_squared(-4).coefficient(0, 0))
+    # |Nabla(z)| at z^2 = -4, from the Conway polynomial's terms.
+    return abs(sum(c * (-4) ** (ez // 2) for (_, ez), c in eng.conway(d).items()))
 
 
 @given(st.integers(-31, 31), st.integers(1, 17))
@@ -98,7 +97,7 @@ def test_two_bridge_determinant(p, q):
 
     if p == 0 or gcd(abs(p), q) != 1 or abs(p) % 2 == 0:
         return  # knots only: odd p
-    d = two_bridge_diagram(ExtendedRational(p, q))
+    d = closure(rational_tangle(ExtendedRational(p, q)))
     assert d.num_components == 1
     assert _det(d) == abs(p)
 
@@ -208,27 +207,14 @@ def test_closed_braid():
     assert spare.num_components == 2 and spare.free_loops == 1
     with pytest.raises(ValueError):
         closed_braid([3], 3)
-    for axis in (None, "over-first"):
-        with pytest.raises(ValueError, match="^n_strands must be >= 1$"):
-            closed_braid([], 0, axis=axis)
+    with pytest.raises(ValueError, match="^n_strands must be >= 1$"):
+        closed_braid([], 0)
 
 
-def test_closed_braid_axis():
-    from clasptools.tangle import closed_braid
-
-    ring = closed_braid([], 1, axis="over-first")
-    assert ring.num_components == 2
-    assert abs(ring.linking_number(0, 1)) == 1
-    two = closed_braid([], 2, axis="over-first")
-    assert two.num_components == 3
-    assert sum(abs(two.linking_number(i, j)) for i in range(3) for j in range(i + 1, 3)) == 2
-
-
-def _braid_linking_matrix(word, n, axis):
+def _braid_linking_matrix(word, n):
     """Linking matrix of a braid closure oriented down the braid, from the
     word alone: a letter between two components adds its sign to their
-    doubled linking number, and with the over-first axis every strand
-    links the axis with sign -1."""
+    doubled linking number."""
     at = list(range(n))  # the strand at each position, read down the braid
     letters = []
     for g in word:
@@ -240,37 +226,29 @@ def _braid_linking_matrix(word, n, axis):
         a, b = comp[at[pos]], comp[pos]
         comp = [a if c == b else c for c in comp]
     index = {c: k for k, c in enumerate(dict.fromkeys(comp))}
-    size = len(index) + (axis is not None)
-    doubled = [[0] * size for _ in range(size)]
+    doubled = [[0] * len(index) for _ in index]
     for s, t, sign in letters:
         a, b = index[comp[s]], index[comp[t]]
         if a != b:
             doubled[a][b] += sign
             doubled[b][a] += sign
-    if axis is not None:
-        for strand in range(n):
-            doubled[-1][index[comp[strand]]] -= 2
-            doubled[index[comp[strand]]][-1] -= 2
     return [[v // 2 for v in row] for row in doubled]
 
 
 @given(st.integers(2, 5).flatmap(lambda n: st.tuples(
     st.just(n),
-    st.lists(st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i])), max_size=12),
-    st.sampled_from([None, "over-first"]))))
-@example((2, [-1, -1], None))  # the negative Hopf link, signs (1, 1) before
-@example((2, [1, 1], "over-first"))
+    st.lists(st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i])), max_size=12))))
+@example((2, [-1, -1]))  # the negative Hopf link, signs (1, 1) before
 @settings(max_examples=200, deadline=None)
 def test_closed_braid_follows_the_braid(case):
     # Crossing signs are the letters' signs, and the signed linking numbers
-    # are the braid's: every strand links the axis with the same sign.
-    n, word, axis = case
-    d = closed_braid(word, n, axis=axis)
-    ring = [-1] * (2 * n if axis else 0)
-    assert sorted(d.signs) == sorted([1 if g > 0 else -1 for g in word] + ring)
-    expect = _braid_linking_matrix(word, n, axis)
+    # are the braid's.
+    n, word = case
+    d = closed_braid(word, n)
+    assert sorted(d.signs) == sorted(1 if g > 0 else -1 for g in word)
+    expect = _braid_linking_matrix(word, n)
     k = d.num_components
-    got = [[d.linking_number(i, j) if i != j else 0 for j in range(k)] for i in range(k)]
+    got = [[linking_number(d, i, j) if i != j else 0 for j in range(k)] for i in range(k)]
     assert len(expect) == k
     assert any(all(got[p[i]][p[j]] == expect[i][j] for i in range(k) for j in range(k))
                for p in permutations(range(k))), (got, expect)
@@ -379,7 +357,7 @@ def _clasped():
     "build, text",
     [
         (
-            lambda: two_bridge_diagram(ExtendedRational(11, 4)),
+            lambda: closure(rational_tangle(ExtendedRational(11, 4))),
             "PD[X[1,10,2,11],X[3,8,4,9],X[4,12,5,11],X[6,14,7,13],X[9,2,10,3],"
             "X[12,6,13,5],X[14,8,1,7]]",
         ),
@@ -398,16 +376,11 @@ def _clasped():
             "PD[X[2,8,3,7],X[4,1,5,2],X[6,4,7,3],X[8,5,1,6]]",
         ),
         (
-            lambda: closed_braid([1, -2, 1, -2], 3, axis="over-first"),
-            "PD[X[2,12,3,11],X[3,19,4,18],X[6,1,7,2],X[7,15,8,20],X[10,6,11,5],"
-            "X[12,20,13,19],X[14,9,1,10],X[15,9,16,8],X[16,14,17,13],X[17,5,18,4]]",
-        ),
-        (
             _clasped,
             "PD[X[2,12,1,3],X[3,1,4,2],X[5,9,6,8],X[6,12,7,11],X[9,5,10,4],X[10,8,11,7]]",
         ),
     ],
-    ids=["two_bridge_11_4", "montesinos", "pretzel", "braid", "braid_axis", "clasp"],
+    ids=["two_bridge_11_4", "montesinos", "pretzel", "braid", "clasp"],
 )
 def test_tangle_pd_text_pinned(build, text):
     # Crossing numbers follow construction order, so this text pins the
@@ -425,16 +398,16 @@ small_rationals = st.sampled_from(
 @st.composite
 def constructions(draw):
     """A diagram from one of the constructions of this module."""
-    kind = draw(st.sampled_from(["montesinos", "pretzel", "braid", "braid axis", "clasp"]))
+    kind = draw(st.sampled_from(["montesinos", "pretzel", "braid", "clasp"]))
     if kind == "montesinos":
         return montesinos_diagram(MontesinosDesc.of(*draw(st.lists(small_rationals, min_size=3, max_size=3))))
     if kind == "pretzel":
         return pretzel_diagram(*draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4)))
-    if kind.startswith("braid"):
+    if kind == "braid":
         n = draw(st.integers(1, 4))
         letters = [g for g in range(1 - n, n) if g]
         word = draw(st.lists(st.sampled_from(letters), max_size=6)) if letters else []
-        return closed_braid(word, n, axis="over-first" if kind == "braid axis" else None)
+        return closed_braid(word, n)
     parts = draw(st.lists(small_rationals, min_size=1, max_size=3))
     t = closure_tangle(reduce(tangle_sum, map(rational_tangle, parts)))
     # Two darts of one face on distinct arcs.
