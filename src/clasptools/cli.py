@@ -33,7 +33,7 @@ from .clasp import (
 )
 from .diagram import DiagramError, parse_pd
 from .laurent import extract_p_i
-from .skein import BudgetExceededError, SkeinEngine
+from .skein import BudgetExceededError, SkeinEngine, _MAX_NODES
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="clasptools")
     ap.add_argument("--census", help="census file override")
     ap.add_argument("--exceptional", help="exceptional-knot file override")
-    ap.add_argument("--node-budget", type=int, default=10_000_000,
+    ap.add_argument("--node-budget", type=int, default=_MAX_NODES,
                     help="skein nodes per query; past it, exit 4 (default %(default)s)")
     sub = ap.add_subparsers(dest="command", required=True)
 

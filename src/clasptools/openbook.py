@@ -5,34 +5,24 @@ T1^a T2^b T3^c, and the resulting closed 3-manifold has
 
     pi1 = < x, y | (xy)^a x^b, (xy)^a y^c >.
 
-This module decides triviality of that group with three certificates:
-the order of H1 is |ab + bc + ca|, the determinant of the 2x2
-exponent-sum matrix, read off the triple before any word is built;
-Todd-Coxeter coset enumeration settles the finite cases, and an
-exhaustive search for a nontrivial map into S3, S4 or S5 certifies
-nontriviality of the infinite ones.  Every verdict carries a
-certificate; `inconclusive`, when no such map exists, is an honest
-possible outcome, never silently converted.
+This module decides triviality of that group with one certificate per
+case, on the triple sorted by magnitude.  The order of H1 is
+|ab + bc + ca|, the determinant of the 2x2 exponent-sum matrix, read off
+the triple before any word is built; H1 != 1 proves pi1 nontrivial.
+With |a| <= 1, pi1 is cyclic (a = 0 gives Z/b * Z/c, and a = +-1 writes
+y as a power of x), so H1 = 1 makes it trivial: Todd-Coxeter coset
+enumeration closes < x, y | x, y > to order 1.  Every other triple goes
+to an exhaustive search for a nontrivial map into S3, S4 or S5; the
+binary icosahedral groups of (2, -3, -5) and (-2, 3, 5) map onto A5
+(Coxeter & Moser, *Generators and Relations for Discrete Groups*,
+ch. 4), so S5 certifies both.  When the search finds nothing, the
+verdict is `inconclusive` with `{"method": "exhausted", "max_degree": 5}`,
+never silently converted.
 
-Coset enumeration is skipped where it cannot finish.  Adding x^b to the
-relators gives the von Dyck group D(|b|, |c|, |a|) = < x, y | x^b, y^c,
-(xy)^a >, so pi1 maps onto it.  That group is infinite when its three
-orders p <= q <= r have p >= 2 and 1/p + 1/q + 1/r <= 1 (Coxeter & Moser,
-*Generators and Relations for Discrete Groups*, ch. 4), so pi1 is
-infinite and no budget lets the coset table close.  Those triples go
-straight to the witness search; when it finds nothing, the certificate
-`{"method": "exhausted", "max_degree": 5}` names the search that ran out.
-
-No relator is longer than 90 letters, whatever the exponents.  With the
-smallest order |a| <= 1, pi1 is cyclic (a = 0 gives Z/b * Z/c, and
-a = +-1 writes y as a power of x), so H1 = 1 makes it trivial and coset
-enumeration runs on < x, y | x, y >.  With |a| >= 2, a finite von Dyck
-quotient and H1 = 1 leave only (2, -3, -5) and (-2, 3, 5); for (2, 2, n),
-(2, 3, 3) and (2, 3, 4), |ab + bc + ca| is never 1.  So Todd-Coxeter sees
-three presentations, each closing within 1614 coset labels, far inside
-its default budget.  The witness search reduces each exponent into
-[-29, 30]: every element of S3, S4 and S5 has order dividing 60, so the
-same pairs kill the relators.
+No relator is longer than 90 letters, whatever the exponents: the
+witness search reduces each exponent into [-29, 30], since every element
+of S3, S4 and S5 has order dividing 60, so the same pairs kill the
+relators.
 
 The search tries one x image per cycle type and every y image.  A pair
 conjugated by any permutation still kills the relators, so it returns the
@@ -82,9 +72,6 @@ class OpenBookTriple(NamedTuple):
     def sorted_by_magnitude(self) -> "OpenBookTriple":
         s = sorted((self.a, self.b, self.c), key=lambda t: (abs(t), t))
         return OpenBookTriple(*s)
-
-    def as_tuple(self) -> Tuple[int, int, int]:
-        return (self.a, self.b, self.c)
 
 
 def pi1_presentation(t: OpenBookTriple) -> Presentation:
@@ -284,47 +271,35 @@ def nontriviality_witness(p: Presentation) -> Optional[Dict[str, object]]:
 
 # -- classification -----------------------------------------------------------
 
-class Verdict(NamedTuple("Verdict", [("triple", Tuple[int, int, int]),
-                                     ("normalized", Tuple[int, int, int]),
-                                     ("verdict", str), ("certificate", Dict[str, object])])):
+class Verdict(NamedTuple):
     """A verdict, "trivial-pi1", "nontrivial-pi1" or "inconclusive", with its
-    certificate: a tuple.  An omitted certificate is a fresh empty dict."""
+    certificate."""
 
-    __slots__ = ()
+    triple: Tuple[int, int, int]
+    normalized: Tuple[int, int, int]
+    verdict: str
+    certificate: Dict[str, object]
 
-    def __new__(cls, triple, normalized, verdict, certificate=None):
-        certificate = {} if certificate is None else certificate
-        return super().__new__(cls, triple, normalized, verdict, certificate)
 
-
-def _von_dyck_infinite(t: OpenBookTriple) -> bool:
-    """Whether D(|a|, |b|, |c|), a quotient of pi1, is infinite.
-
-    With the orders sorted into p <= q <= r: p >= 2 and
-    1/p + 1/q + 1/r <= 1, tested as qr + pr + pq <= pqr.
-    """
-    p, q, r = sorted(abs(n) for n in t.as_tuple())
-    return p >= 2 and q * r + p * r + p * q <= p * q * r
+# pi1 of a triple with |a| <= 1 and H1 = 1: cyclic of order 1.
+_CYCLIC_TRIVIAL = Presentation(((1,), (2,)))
 
 
 def _decide(t: OpenBookTriple) -> Tuple[str, Dict[str, object]]:
     """Verdict and certificate for a normalized triple.
 
-    H1 first, from the triple; then Todd-Coxeter, unless the von Dyck
-    quotient is infinite, where no run within any budget could finish, on
-    < x, y | x, y > when |a| <= 1 (pi1 is cyclic); then a witness, with the
-    exponents reduced modulo 60.  Words stay short (module docstring).
+    H1 from the triple; with H1 = 1 and |a| <= 1, Todd-Coxeter on
+    < x, y | x, y >; otherwise a witness, with the exponents reduced
+    modulo 60 (module docstring).
     """
     h1 = h1_order(t)
     if h1 != 1:
         return "nontrivial-pi1", {"method": "abelianization", "h1_order": h1}
-    if not _von_dyck_infinite(t):
-        pres = Presentation(((1,), (2,))) if abs(t.a) <= 1 else pi1_presentation(t)
-        order = todd_coxeter(pres)
-        if order is not None:
-            verdict = "trivial-pi1" if order == 1 else "nontrivial-pi1"
-            return verdict, {"method": "todd-coxeter", "group_order": order}
-    reduced = OpenBookTriple(*((n + 29) % 60 - 29 for n in t.as_tuple()))
+    if abs(t.a) <= 1:
+        order = todd_coxeter(_CYCLIC_TRIVIAL)
+        verdict = "trivial-pi1" if order == 1 else "nontrivial-pi1"
+        return verdict, {"method": "todd-coxeter", "group_order": order}
+    reduced = OpenBookTriple(*((n + 29) % 60 - 29 for n in t))
     witness = nontriviality_witness(pi1_presentation(reduced))
     if witness is not None:
         return "nontrivial-pi1", witness
@@ -335,13 +310,13 @@ def classify_triple(t: OpenBookTriple) -> Verdict:
     """Decide whether pi1 of the (a, b, c) pants open book is trivial.
 
     Normalizes by the boundary-relabeling symmetry (sort by magnitude),
-    then: nontrivial abelianization => nontrivial; else Todd-Coxeter,
-    where the von Dyck quotient is finite (it always closes there); else
-    a homomorphism witness into S3, S4 or S5; else inconclusive.
+    then: H1 != 1 => nontrivial; else, with |a| <= 1, Todd-Coxeter on the
+    cyclic group < x, y | x, y >; else a homomorphism witness into S3, S4
+    or S5; else inconclusive.
     """
     norm = t.sorted_by_magnitude()
     verdict, cert = _decide(norm)
-    return Verdict(t.as_tuple(), norm.as_tuple(), verdict, cert)
+    return Verdict(tuple(t), tuple(norm), verdict, cert)
 
 
 def _trivial_link_name(triple: Tuple[int, int, int]) -> Optional[str]:

@@ -28,6 +28,8 @@ from .laurent import LaurentPoly, UNLINK_FACTOR, extract_p_i
 
 # Memo entries an engine keeps; past this the oldest insertion is dropped.
 _MEMO_CAP = 1 << 20
+# Default skein nodes per query, for ``SkeinEngine`` and ``--node-budget``.
+_MAX_NODES = 10_000_000
 
 
 class BudgetExceededError(RuntimeError):
@@ -43,7 +45,7 @@ class SkeinEngine:
     belongs to one thread.
     """
 
-    def __init__(self, max_nodes: int = 10_000_000):
+    def __init__(self, max_nodes: int = _MAX_NODES):
         if max_nodes < 0:
             raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
         self.max_nodes = max_nodes

@@ -1,4 +1,4 @@
-from itertools import permutations, product
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from clasptools.openbook import (
     OpenBookTriple,
-    _von_dyck_infinite,
     Presentation,
     abelianization_order,
     classify_triple,
@@ -137,32 +136,22 @@ def test_witness_matches_all_pairs(p):
     assert nontriviality_witness(p) == nontriviality_witness_all_pairs(p)
 
 
-def test_von_dyck_rule_cases():
-    # Euclidean boundary, 1/p + 1/q + 1/r = 1: infinite, skipped.
-    for t in ((2, 3, 6), (2, 4, 4), (3, 3, 3)):
-        assert _von_dyck_infinite(OpenBookTriple(*t)), t
-    # Spherical, or an order below 2: not skipped.
-    for t in ((2, 3, 5), (2, 2, 100), (1, 5, 7), (0, 4, 5)):
-        assert not _von_dyck_infinite(OpenBookTriple(*t)), t
-    for t in ((2, 3, 6), (2, 3, 5), (-3, 5, 7), (0, 4, 5)):
-        expect = _von_dyck_infinite(OpenBookTriple(*t))
-        for perm in permutations(t):
-            for signs in product((1, -1), repeat=3):
-                signed = (s * n for s, n in zip(signs, perm))
-                assert _von_dyck_infinite(OpenBookTriple(*signed)) == expect, t
-
-
-def test_von_dyck_rule_is_exactly_exhaustion():
-    # Every |a| <= |b| <= |c| <= 12 triple with H1 = 1: the rule skips
-    # exactly the triples where the default budget runs out.
+def test_todd_coxeter_exhausts_exactly_on_infinite_von_dyck_quotients():
+    # pi1 maps onto the von Dyck group D(|b|, |c|, |a|), which is infinite
+    # when the orders sorted into p <= q <= r have p >= 2 and
+    # 1/p + 1/q + 1/r <= 1, that is qr + pr + pq <= pqr.  Over every
+    # |a| <= |b| <= |c| <= 12 triple with H1 = 1, the default coset budget
+    # runs out exactly there.
     triples = _h1_trivial_triples(12)
-    skipped = 0
+    exhausted_count = 0
     for t in triples:
         norm = OpenBookTriple(*t).sorted_by_magnitude()
+        p, q, r = sorted(abs(n) for n in t)
+        infinite = p >= 2 and q * r + p * r + p * q <= p * q * r
         exhausted = todd_coxeter(pi1_presentation(norm)) is None
-        assert _von_dyck_infinite(norm) == exhausted, t
-        skipped += exhausted
-    assert (len(triples), skipped) == (70, 12)
+        assert infinite == exhausted, t
+        exhausted_count += exhausted
+    assert (len(triples), exhausted_count) == (70, 12)
 
 
 def test_max_cosets_must_be_positive():
@@ -184,10 +173,10 @@ _SHORT_WORD_TRIPLES = ((1, -1, 10**8), (0, 1, -1), (-1, 1, 5000), (300, -301, -9
                        (3000, -3001, -9003001), (30, -31, -931), (-2, 3, 5), (2, -3, -7))
 
 
-def test_classify_runs_todd_coxeter_on_three_presentations(monkeypatch):
-    # With H1 = 1, a finite von Dyck quotient leaves only |a| <= 1, run as
-    # < x, y | x, y >, and (2, -3, -5), (-2, 3, 5): no coset budget is
-    # needed, and none is passed.
+def test_classify_runs_todd_coxeter_only_on_the_cyclic_presentation(monkeypatch):
+    # Todd-Coxeter only closes < x, y | x, y >, for |a| <= 1, and takes no
+    # coset budget.  Every answer also agrees with the closed-form rule: a
+    # triple is trivial exactly when H1 = 1 and min(|a|, |b|, |c|) <= 1.
     calls = []
     real = openbook.todd_coxeter
 
@@ -202,16 +191,19 @@ def test_classify_runs_todd_coxeter_on_three_presentations(monkeypatch):
                if abs(a) <= abs(b) <= abs(c)]
     assert len(triples) == 3249
     for t in triples + list(_SHORT_WORD_TRIPLES):
-        classify_triple(OpenBookTriple(*t))
+        v = classify_triple(OpenBookTriple(*t))
+        a, b, c = t
+        h1_trivial = abs(a * b + b * c + c * a) == 1
+        small = min(map(abs, t)) <= 1
+        assert (v.verdict == "trivial-pi1") == (h1_trivial and small), t
+        if v.verdict == "inconclusive":
+            assert h1_trivial and not small, t
+        if v.certificate["method"] == "homomorphism":
+            x, y = v.certificate["image_x"], v.certificate["image_y"]
+            for word in _relator_words(*v.normalized):
+                assert _perm_value(word, x, y) == list(range(len(x))), t
     assert all(args == () and kwargs == {} for _, args, kwargs in calls)
-    presentations = {p for p, _, _ in calls}
-    assert presentations == {
-        Presentation(((1,), (2,))),
-        pi1_presentation(OpenBookTriple(2, -3, -5)),
-        pi1_presentation(OpenBookTriple(-2, 3, 5)),
-    }
-    for p in presentations:
-        assert real(p, 2000) is not None, p
+    assert {p for p, _, _ in calls} == {Presentation(((1,), (2,)))}
 
 
 def test_classify_examples():
@@ -293,8 +285,8 @@ def test_scan8_certificates():
             assert cert["h1_order"] == det != 1
             assert r["verdict"] == "nontrivial-pi1"
         elif cert["method"] == "todd-coxeter":
-            assert det == 1
-            assert (r["verdict"] == "trivial-pi1") == (cert["group_order"] == 1)
+            assert det == 1 and cert["group_order"] == 1
+            assert r["verdict"] == "trivial-pi1"
         elif cert["method"] == "homomorphism":
             x, y = cert["image_x"], cert["image_y"]
             ident = list(range(len(x)))
@@ -308,7 +300,7 @@ def test_scan8_certificates():
             assert r["verdict"] == "inconclusive"
     trivial = {r["triple"] for r in rows if r["verdict"] == "trivial-pi1"}
     assert trivial == {r["triple"] for r in rows if classified_trivial_set(r["triple"])}
-    assert sorted(by_method["homomorphism"]) == [(-3, 5, 8), (3, -5, -8)]
+    assert sorted(by_method["homomorphism"]) == [(-3, 5, 8), (-2, 3, 5), (2, -3, -5), (3, -5, -8)]
     # The first pair of the search, as the all-pairs search found it.
     for r in rows:
         if r["triple"] in ((-3, 5, 8), (3, -5, -8)):
