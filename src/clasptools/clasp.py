@@ -42,16 +42,6 @@ class ClaspParams(NamedTuple("ClaspParams", [("eps1", int), ("eps2", int), ("l1"
             raise ValueError("disk type must be 'X' or 'II'")
         return super().__new__(cls, eps1, eps2, l1, l2, l, disk_type)
 
-    def swapped(self) -> "ClaspParams":
-        """The same disk with the two clasps relabeled.
-
-        Swaps (eps1, l1) with (eps2, l2); for type X the off-diagonal
-        linking becomes -l-1 (preserving l(l+1)), for type II it becomes
-        -l (preserving l^2).
-        """
-        l = (-self.l - 1) if self.disk_type == TYPE_X else -self.l
-        return ClaspParams(self.eps2, self.eps1, self.l2, self.l1, l, self.disk_type)
-
 
 def model_coefficients(p: ClaspParams) -> Tuple[int, int]:
     """(a2, a4) of the modeled Conway polynomial."""
@@ -75,7 +65,9 @@ def enumerate_params(a2: int, a4: int, disk_type: str, bound: int) -> List[Clasp
     Y = 2l (type II) or 2l + 1 (type X), (a2, a4) is realized exactly when
     X^2 + s Y^2 = D = c^2 - 4 a4 (+ s for type X); Y's parity then forces
     X = c (mod 2).  The bound caps the search, so the cost is
-    O(min(sqrt|D|, bound)) plus the output, which is sorted.
+    O(min(sqrt|D|, bound)) plus the output, which is sorted.  Where the s = -1 conic
+    is the lines X = +-Y (4 a4 = a2^2 for type II, 4 a4 = a2 (a2 + 2) for type X),
+    the output grows by 8 parameters per unit of bound.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")

@@ -9,13 +9,11 @@ whose terms have e_v = 0 (resp. e_z = 0), so mixed arithmetic needs no
 embedding step.
 
 Values are immutable and hashable.  The text form (see ``to_text``) is
-ordered by ascending z-exponent, then ascending v-exponent, and parses
-back losslessly.
+ordered by ascending z-exponent, then ascending v-exponent.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Iterator, Mapping, Optional, Tuple
 
 Exponents = Tuple[int, int]
@@ -200,41 +198,12 @@ class LaurentPoly:
             parts.append("*".join(frag))
         return " + ".join(parts)
 
-    _TERM_RE = re.compile(
-        r"^\s*(?P<coef>[+-]?\d+)"
-        r"(?:\*v(?:\^(?P<ev>-?\d+))?)?"
-        r"(?:\*z(?:\^(?P<ez>-?\d+))?)?\s*$"
-    )
-
-    @classmethod
-    def parse(cls, text: str) -> "LaurentPoly":
-        """Parse the ``to_text`` form (whitespace-insensitive)."""
-        text = text.strip()
-        if text in ("0", ""):
-            return cls.zero()
-        terms: dict = {}
-        for chunk in text.split("+"):
-            if not chunk.strip():
-                raise ValueError(f"empty term in polynomial text: {text!r}")
-            m = cls._TERM_RE.match(chunk)
-            if not m:
-                raise ValueError(f"cannot parse polynomial term: {chunk.strip()!r}")
-            c = int(m.group("coef"))
-            raw = chunk.replace(" ", "")
-            ev = int(m.group("ev")) if m.group("ev") is not None else (1 if "*v" in raw else 0)
-            ez = int(m.group("ez")) if m.group("ez") is not None else (1 if "*z" in raw else 0)
-            k = (ev, ez)
-            terms[k] = terms.get(k, 0) + c
-        return cls(terms)
-
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_text()!r})"
 
 
 # (v^-1 - v) / z, the HOMFLY value of adding one split unknot component.
 UNLINK_FACTOR = LaurentPoly({(-1, -1): 1, (1, -1): -1})
-# v^-2 - 1, the analogous factor for the zeroth coefficient polynomial.
-P0_UNLINK_FACTOR = LaurentPoly({(-2, 0): 1, (0, 0): -1})
 
 
 def extract_p_i(P: LaurentPoly, num_components: int, i: int) -> LaurentPoly:

@@ -29,11 +29,17 @@ components, the reference for the linking numbers of braid closures,
 mirrors and switched crossings, and ``reverse_all_components`` reverses
 every component, the reference for HOMFLY's invariance under that move;
 the library itself needs neither.
+And ``P`` reads the polynomial text form with ``bench/check.py``'s
+``parse_poly``, the benchmark's own reader of that form, so the library
+keeps no parser that only tests call.
 """
 
+import importlib.util
+import sys
 from functools import lru_cache
 from itertools import permutations, product
 from math import comb, isqrt
+from pathlib import Path
 
 from clasptools.clasp import TYPE_II, TYPE_X, ClaspParams
 from clasptools.diagram import Diagram, _Builder, _over_in_port, _over_out_port
@@ -43,6 +49,23 @@ V2 = LaurentPoly.term(1, ev=2)
 VINV2 = LaurentPoly.term(1, ev=-2)
 VZ = LaurentPoly.term(1, ev=1, ez=1)
 VINVZ = LaurentPoly.term(-1, ev=-1, ez=1)
+
+
+def _bench_check():
+    path = Path(__file__).resolve().parent.parent / "bench" / "check.py"
+    spec = importlib.util.spec_from_file_location("bench_check", path)
+    # Registered before it runs: its dataclass looks its module up there.
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_parse_poly = _bench_check().parse_poly
+
+
+def P(text):
+    """The polynomial written as ``text`` in the ``to_text`` form."""
+    return LaurentPoly(_parse_poly(text))
 
 
 def _first_over_violation(d: Diagram):

@@ -15,10 +15,8 @@ from clasptools.clasp import (
     typeX_parity_obstruction,
     typeX_sum_of_squares_search,
 )
-from clasptools.laurent import P0_UNLINK_FACTOR, LaurentPoly
-from oracle import enumerate_params_scan
-
-P = LaurentPoly.parse
+from clasptools.laurent import LaurentPoly
+from oracle import P, enumerate_params_scan
 
 signs = st.sampled_from([1, -1])
 small = st.integers(min_value=-6, max_value=6)
@@ -43,7 +41,11 @@ def test_conway_model_shape(p):
 @given(params)
 @settings(max_examples=200, deadline=None)
 def test_clasp_relabeling_symmetry(p):
-    assert conway_model(p.swapped()) == conway_model(p)
+    # Relabeling the two clasps swaps (eps1, l1) with (eps2, l2) and sends
+    # l to -l-1 for type X (keeping l(l+1)) and to -l for type II (keeping l^2).
+    l = -p.l - 1 if p.disk_type == TYPE_X else -p.l
+    swapped = ClaspParams(p.eps2, p.eps1, p.l2, p.l1, l, p.disk_type)
+    assert conway_model(swapped) == conway_model(p)
 
 
 def test_enumerate_params_examples():
@@ -94,6 +96,9 @@ _DEGENERATE_CONICS = [
 def test_enumerate_params_on_degenerate_conics(a2, a4, disk_type):
     for bound in (0, 1, 7):
         assert enumerate_params(a2, a4, disk_type, bound) == enumerate_params_scan(a2, a4, disk_type, bound)
+    # On the lines X = +-Y every unit of bound adds 8 parameters.
+    counts = [len(enumerate_params(a2, a4, disk_type, bound)) for bound in (100, 1000)]
+    assert counts[1] - counts[0] == 7200
 
 
 def test_typeX_parity_obstruction():
@@ -171,14 +176,14 @@ def test_unlink_quotient():
     assert unlink_quotient(P("1*v + -1*v^2")) is None
     # An odd-exponent multiple divides exactly.
     odd = P("3*v^-1 + -2*v^5")
-    assert unlink_quotient(odd * P0_UNLINK_FACTOR) == odd
+    assert unlink_quotient(odd * LaurentPoly({(-2, 0): 1, (0, 0): -1})) == odd
 
 
 @given(st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_unlink_quotient_inverts_multiplication(terms):
     p = LaurentPoly({(ev, 0): c for ev, c in terms.items()})
-    assert clasp._unlink_quotient(p * P0_UNLINK_FACTOR) == p
+    assert clasp._unlink_quotient(p * LaurentPoly({(-2, 0): 1, (0, 0): -1})) == p
 
 
 def test_sum_of_squares_examples():
@@ -216,7 +221,7 @@ def test_sum_of_squares_rejects_a_wrong_pair(monkeypatch):
 def test_sum_of_squares_search_depth_is_bounded_by_the_node_cap():
     # The search descends about 2 * deg_bound levels; a large degree bound
     # costs nodes, never Python stack.
-    p0 = LaurentPoly.parse("2*v^2 + -1*v^4")
+    p0 = P("2*v^2 + -1*v^4")
     r = typeX_sum_of_squares_search(p0, 1, -1, deg_bound=600, coeff_bound=2)
     assert (r.status, r.reason) == ("found", "")
     assert (r.f1.to_text(), r.f2.to_text()) == ("1*v^2", "1*v")

@@ -2,11 +2,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clasptools.laurent import P0_UNLINK_FACTOR, UNLINK_FACTOR, LaurentPoly, extract_p_i
-
-
-def P(text):
-    return LaurentPoly.parse(text)
+from clasptools.laurent import UNLINK_FACTOR, LaurentPoly, extract_p_i
+from oracle import P
 
 
 def test_ring_examples():
@@ -35,7 +32,7 @@ def test_coefficient():
 def test_extract_p_i():
     assert extract_p_i(LaurentPoly.one(), 1, 0) == LaurentPoly.one()
     # 2-component unlink: P = (v^-1 - v) z^-1, p^0 = v^-2 - 1.
-    assert extract_p_i(UNLINK_FACTOR, 2, 0) == P0_UNLINK_FACTOR
+    assert extract_p_i(UNLINK_FACTOR, 2, 0) == P("1*v^-2 + -1")
     trefoil = LaurentPoly({(2, 0): 2, (4, 0): -1, (2, 2): 1})
     assert extract_p_i(trefoil, 1, 0) == P("2*v^2 + -1*v^4")
     assert extract_p_i(trefoil, 1, 1) == P("1*v^2")
@@ -51,11 +48,10 @@ def test_extract_p_i_rejects_malformed():
 def test_text_round_trip_examples():
     p = LaurentPoly({(4, 0): -1, (2, 0): 2, (2, 2): 1})
     assert p.to_text() == "2*v^2 + -1*v^4 + 1*v^2*z^2"
-    assert LaurentPoly.parse(p.to_text()) == p
+    assert P(p.to_text()) == p
     assert LaurentPoly.zero().to_text() == "0"
-    assert LaurentPoly.parse("0").is_zero()
     q = LaurentPoly({(1, -3): -7})
-    assert LaurentPoly.parse(q.to_text()) == q
+    assert P(q.to_text()) == q
 
 
 exponents = st.integers(min_value=-6, max_value=6)
@@ -109,7 +105,7 @@ def test_term_converts_to_int():
 @given(polys)
 @settings(max_examples=100, deadline=None)
 def test_text_round_trip(p):
-    assert LaurentPoly.parse(p.to_text()) == p
+    assert P(p.to_text()) == p
 
 
 def test_reassembly_of_coefficient_polys():

@@ -64,7 +64,7 @@ def test_equality_and_hash():
     assert hash(p) == hash(ClaspParams(1, 1, 0, 0, 0, "II"))
     assert ClaspParams(1, 1, 0, 0, 0) in {p, ClaspParams(-1, 1, 0, 0, 0)}
     assert ClaspParams(1, 1, 0, 0, 0, "X") not in {p}
-    assert len({p, ClaspParams(1, 1, 0, 0, 0), p.swapped()}) == 1
+    assert len({p, ClaspParams(1, 1, 0, 0, 0)}) == 1
     assert hash(OpenBookTriple(2, 3, 7)) == hash(OpenBookTriple(2, 3, 7))
     assert OpenBookTriple(2, 3, 7) != OpenBookTriple(2, 7, 3)
     assert hash(ExceptionalKnot("K", 1, 1, TREFOIL)) == hash(ExceptionalKnot("K", 1, 1, TREFOIL))

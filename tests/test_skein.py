@@ -9,9 +9,7 @@ from clasptools.laurent import UNLINK_FACTOR, LaurentPoly, extract_p_i
 from clasptools.skein import BudgetExceededError, SkeinEngine
 from clasptools.tangle import closed_braid
 
-from oracle import conway_bruteforce, homfly_bruteforce, p0_bruteforce
-
-P = LaurentPoly.parse
+from oracle import P, conway_bruteforce, homfly_bruteforce, p0_bruteforce
 
 TREFOIL = parse_pd("PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]")
 FIG8 = parse_pd("PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]")

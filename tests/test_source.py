@@ -57,19 +57,23 @@ def _export_table():
                 and any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets))
 
 
+def _top_level(path):
+    """(name, node) for each top-level def, class and assigned name of a file."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
+
+
 def test_package_table_names_top_level_definitions():
     # clasptools/__init__.py imports a public name's submodule only on first
     # access; a renamed or moved definition would otherwise fail only there.
     table = _export_table()
     missing = []
     for module, names in table.items():
-        defined = set()
-        for node in ast.parse((SRC / f"{module}.py").read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.add(node.name)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+        defined = {name for name, _ in _top_level(SRC / f"{module}.py")}
         missing += [f"{module}.{name}" for name in names if name not in defined]
     assert table and not missing, missing
 
@@ -108,50 +112,112 @@ _UNCALLED_BY_DESIGN = (
 
 
 def _uses(path, strings=False):
-    """Identifiers a file uses (names, attributes, imported names and, with
-    ``strings``, the dotted parts of string constants), leaving out each use
-    inside a definition of the same name."""
+    """Identifiers a file reads (names, attributes, each attribute of a plain
+    name also as ``Owner.attr``, imported names and, with ``strings``, the
+    dotted parts of string constants), leaving out assignment targets and
+    each use inside a definition of the same name."""
     used = set()
 
-    def visit(node, inside):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            inside = inside | {node.name}
+    def visit(node, inside, owner):
+        if isinstance(node, ast.ClassDef):
+            inside, owner = inside | {node.name}, node.name + "."
+        elif isinstance(node, ast.FunctionDef):
+            inside, owner = inside | {node.name, owner + node.name}, ""
         words = []
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             words = [node.id]
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             words = [node.attr]
+            if isinstance(node.value, ast.Name):
+                words.append(f"{node.value.id}.{node.attr}")
         elif isinstance(node, ast.alias):
             words = node.name.split(".")
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             words = node.value.split(".")
         used.update(w for w in words if w not in inside)
         for child in ast.iter_child_nodes(node):
-            visit(child, inside)
+            visit(child, inside, owner)
 
-    visit(ast.parse(path.read_text(), filename=str(path)), frozenset())
+    visit(ast.parse(path.read_text(), filename=str(path)), frozenset(), "")
     return used
+
+
+def _callers():
+    """The files whose uses make a public name or parameter needed."""
+    root = SRC.parent.parent
+    return [*SRC.glob("*.py"), *(root / "bench").glob("*.py"),
+            root / "tests" / "test_acceptance.py"]
 
 
 def test_every_public_name_has_a_caller():
     # A public name that no module, benchmark or acceptance test calls is
     # surface kept for its own tests.  Covered: the package table, the
-    # public top-level definitions of every submodule and the public
-    # methods of Diagram and LaurentPoly; the string targets in
-    # bench/tracing.py count as calls.
+    # public top-level definitions and module constants of every submodule
+    # and the public methods of every public class; a method name that
+    # several classes define counts only as ``Class.name``.  The string
+    # targets in bench/tracing.py count as calls.
     names = {n for names in _export_table().values() for n in names}
+    owners = {}
     for path in SRC.glob("*.py"):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
-                names.add(node.name)
-                if node.name in ("Diagram", "LaurentPoly"):
-                    names |= {f.name for f in node.body
-                              if isinstance(f, ast.FunctionDef) and f.name[0] != "_"}
+        for name, node in _top_level(path):
+            if name[0] != "_":
+                names.add(name)
+                if isinstance(node, ast.ClassDef):
+                    for f in node.body:
+                        if isinstance(f, ast.FunctionDef) and f.name[0] != "_":
+                            owners.setdefault(f.name, []).append(name)
+    for method, classes in owners.items():
+        names |= {method} if len(classes) == 1 else {f"{c}.{method}" for c in classes}
     used = set()
-    for path in SRC.glob("*.py"):
-        used |= _uses(path)
-    for path in (SRC.parent.parent / "bench").glob("*.py"):
-        used |= _uses(path, strings=True)
-    used |= _uses(SRC.parent.parent / "tests" / "test_acceptance.py")
+    for path in _callers():
+        used |= _uses(path, strings=path.parent.name == "bench")
     exempt = {name for name, _ in _UNCALLED_BY_DESIGN}
     assert names - used == exempt, ", ".join(sorted((names - used) ^ exempt))
+
+
+# Keyword parameters that the guard below flags, each waiting on a change to
+# bench/ and deleted by the ROADMAP direction named.
+_PENDING_PARAMETERS = (
+    ("todd_coxeter", "max_cosets", "only tests pass it; Direction 9 deletes todd_coxeter"),
+    ("typeX_sum_of_squares_search", "node_cap", "only tests pass it; Direction 3"),
+    ("load_census", "engine", "the benchmark worker passes it, the body never reads it; "
+                              "Direction 6, after Direction 1"),
+)
+
+
+def test_every_keyword_parameter_is_read_and_passed():
+    # A parameter with a default is a setting: the body of its function (or
+    # of its class's __new__ or __init__) must read it, and some module,
+    # benchmark or acceptance test must pass it, by keyword or by position.
+    # Covered: the names of the package table, except _UNCALLED_BY_DESIGN.
+    exempt = {name for name, _ in _UNCALLED_BY_DESIGN}
+    calls = [node for path in _callers() for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)]
+    flagged = set()
+    for module, names in _export_table().items():
+        for name, node in _top_level(SRC / f"{module}.py"):
+            if name not in names or name in exempt:
+                continue
+            fns = [node]
+            if isinstance(node, ast.ClassDef):
+                fns = [f for f in node.body if isinstance(f, ast.FunctionDef)
+                       and f.name in ("__new__", "__init__")]
+            passes = [c for c in calls
+                      if name in (getattr(c.func, "id", None), getattr(c.func, "attr", None))]
+            for fn in fns:
+                args = fn.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                if fn is not node:
+                    positional = positional[1:]  # cls or self
+                keyword = positional[len(positional) - len(args.defaults):] + [
+                    a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                reads = {n.id for n in ast.walk(fn)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                for arg in keyword:
+                    passed = any(any(k.arg == arg for k in c.keywords)
+                                 or arg in positional and len(c.args) > positional.index(arg)
+                                 for c in passes)
+                    if arg not in reads or not passed:
+                        flagged.add((name, arg))
+    pending = {(name, arg) for name, arg, _ in _PENDING_PARAMETERS}
+    assert flagged == pending, sorted(flagged ^ pending)
