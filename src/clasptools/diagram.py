@@ -49,7 +49,7 @@ def _switched(q: Quad, sign: int) -> Quad:
 class Diagram:
     """An oriented link diagram (PD code plus free loop counter)."""
 
-    __slots__ = ("crossings", "signs", "free_loops", "components", "_comp_of", "_head", "_tail")
+    __slots__ = ("crossings", "signs", "free_loops", "components", "_head", "_tail")
 
     def __init__(self, crossings: Sequence[Sequence[int]], free_loops: int = 0):
         quads = tuple(tuple(int(x) for x in q) for q in crossings)
@@ -70,50 +70,46 @@ class Diagram:
     def _finish(self, quads: Tuple[Quad, ...], signs: Tuple[int, ...], free_loops: int):
         """Build the arc table and the components, rejecting bad codes.
 
-        ``_head`` and ``_tail`` map an edge to the ``(crossing, port)`` where
-        it enters and leaves; a label outside 1..2n or an edge on two ports of
-        one side is rejected, so each label appears exactly twice.  Components
-        follow the heads (port p's strand leaves at p + 2 mod 4) and must have
-        consecutive labels.
+        One pass over the crossings fills ``_head`` and ``_tail``, which map
+        an edge to the ``(crossing, port)`` where it enters and leaves, and
+        lists each strand whose labels do not step by one.  A label outside
+        1..2n or an edge on two ports of one side is rejected
+        (``_reject_arcs`` names the first), so each label appears exactly
+        twice.  The components are the label runs between those steps, and
+        each must close on its first label.
         """
         if free_loops < 0:
             raise DiagramError("negative free loop count")
         two_n = 2 * len(quads)
         head: Dict[int, Tuple[int, int]] = {}
         tail: Dict[int, Tuple[int, int]] = {}
-        for k, (q, s) in enumerate(zip(quads, signs)):
-            oi, oo = _over_in_port(s), _over_out_port(s)
-            for ends, p, verb in ((head, 0, "enters"), (tail, 2, "leaves"),
-                                  (head, oi, "enters"), (tail, oo, "leaves")):
-                e = q[p]
-                if not (1 <= e <= two_n):
-                    raise DiagramError(f"edge label {e} outside 1..{two_n}")
-                if e in ends:
-                    raise DiagramError(f"edge {e} {verb} two different crossings")
-                ends[e] = (k, p)
+        ends = []  # (e, the edge after e on its strand) when that is not e + 1
+        for k, (a, b, c, d) in enumerate(quads):
+            head[a] = (k, 0)
+            tail[c] = (k, 2)
+            if signs[k] > 0:
+                head[b], tail[d], oi, oo = (k, 1), (k, 3), b, d
+            else:
+                head[d], tail[b], oi, oo = (k, 3), (k, 1), d, b
+            if c != a + 1:
+                ends.append((a, c))
+            if oo != oi + 1:
+                ends.append((oi, oo))
+        if quads and not (len(head) == len(tail) == two_n and min(head) > 0 < min(tail)
+                          and max(head) <= two_n >= max(tail)):
+            _reject_arcs(quads, signs)
         comps: List[Tuple[int, ...]] = []
-        comp_of: Dict[int, int] = {}
-        for m in range(1, two_n + 1):
-            if m in comp_of:
-                continue
-            cur = m
-            while True:
-                comp_of[cur] = len(comps)
-                k, p = head[cur]
-                nxt = quads[k][(p + 2) % 4]
-                if nxt == m:
-                    break
-                if nxt != cur + 1:
-                    raise DiagramError(
-                        f"edge labels not consecutive along a component (succ({cur}) = {nxt})"
-                    )
-                cur = nxt
+        m = 1
+        for cur, nxt in sorted(ends):
+            if nxt != m:
+                raise DiagramError("edge labels not consecutive along a component "
+                                   f"(succ({cur}) = {nxt})")
             comps.append(tuple(range(m, cur + 1)))
+            m = cur + 1
         object.__setattr__(self, "crossings", quads)
         object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "free_loops", free_loops)
         object.__setattr__(self, "components", tuple(comps))
-        object.__setattr__(self, "_comp_of", comp_of)
         object.__setattr__(self, "_head", head)
         object.__setattr__(self, "_tail", tail)
 
@@ -216,101 +212,93 @@ class Diagram:
         reordering components and rotating the labels within each.  The
         edge components split into connected pieces (components that share
         a crossing).  For a start edge of a piece, its component is
-        labelled from that edge, and further components are labelled
-        first-in-first-out in the order the walk meets them: scanning the
-        labelled edges in label order, the other strand leaving the
-        crossing where an edge ends starts the next unlabelled component.
-        A piece's code is the least sorted signed crossing list over its
-        candidate start edges; the piece codes are joined in sorted order,
-        after Weinberg's planar-graph traversal code.
+        labelled from that edge, and further components first-in-first-out
+        in the order the walk meets them: scanning the labelled edges in
+        label order, the other strand leaving the crossing where an edge
+        ends starts the next unlabelled component; each component's labels
+        are two list slices.  A piece's code is the least sorted signed
+        crossing list over its candidate start edges; the piece codes are
+        joined in sorted order, after Weinberg's planar-graph traversal code.
 
         The candidates are chosen without labels.  Each edge has a letter,
         under or over by the strand it enters its crossing on and that
         crossing's sign; a start edge is a candidate when the letters of
         its component, read cyclically from it, form the least rotation
         over all components of the piece.  That rotation starts on an
-        under-in edge.  As the candidate set is a relabeling invariant, the
-        least code over it is one too.  Generic pieces have one candidate
-        and cost one O(n) walk for n crossings; symmetric ones (torus links
-        such as T(3,3), unions of equal links) tie on up to every under-in
-        edge, O(n^2) at worst (each list comes out sorted, so the
-        O(n log n) sort is not needed), with no bound on the number of
-        components.
+        under-in edge with the least letter, found by ``str.find``.  As the
+        candidate set is a relabeling invariant, the least code over it is
+        one too.  Generic pieces have one candidate, one O(n) walk for n
+        crossings; symmetric ones (torus links such as T(3,3), unions of
+        equal links) tie on up to every under-in edge, O(n^2) at worst, as
+        is the rotation search (each list comes out sorted, so no sort is
+        needed), with no bound on the number of components.
         """
         if not self.crossings:
             return f"|U{self.free_loops}"
         comps = self.components
-        comp_of = self._comp_of
         size = 2 * len(self.crossings) + 1
+        comp_of = [0] * size
         other = [0] * size  # outgoing edge of the other strand where e ends
         under = [None] * size  # crossing whose under strand e enters
         letter = [""] * size
-        piece = list(range(len(comps)))  # union-find over components
-
-        def root(ci: int) -> int:
-            while piece[ci] != ci:
-                ci = piece[ci]
-            return ci
-
         for (a, b, c, d), s in zip(self.crossings, self.signs):
-            oi, oo = (b, d) if s > 0 else (d, b)
-            other[a] = oo
-            other[oi] = c
             under[a] = (a, b, c, d, s)
-            letter[a], letter[oi] = ("b", "d") if s > 0 else ("a", "c")
-            i, j = root(comp_of[a]), root(comp_of[oi])
-            piece[max(i, j)] = min(i, j)
-
-        def walk(start: int) -> List[int]:
-            """Edges in label order for the labelling that starts at ``start``."""
-            order: List[int] = []
-            placed = [False] * len(comps)
-            e, pos = start, 0
-            while True:
-                ci = comp_of[e]
-                if not placed[ci]:
-                    placed[ci] = True
-                    base, length = comps[ci][0], len(comps[ci])
-                    order.extend(base + (e - base + t) % length for t in range(length))
-                if pos == len(order):
-                    return order
-                e = other[order[pos]]
-                pos += 1
-
-        # Each piece's least rotation and the start edges that attain it.
-        least: Dict[int, Tuple[str, List[int]]] = {}
-        for ci, cyc in enumerate(comps):
-            word = "".join(letter[e] for e in cyc)
-            twice, length, first = word + word, len(word), min(word)
-            for i, ch in enumerate(word):
-                if ch == first:
-                    rot = twice[i:i + length]
-                    cur = least.get(root(ci))
-                    if cur is None or rot < cur[0]:
-                        least[root(ci)] = (rot, [cyc[i]])
-                    elif rot == cur[0]:
-                        cur[1].append(cyc[i])
-
+            if s > 0:
+                other[a], other[b], letter[a], letter[b] = d, c, "b", "d"
+            else:
+                other[a], other[d], letter[a], letter[d] = b, c, "a", "c"
+        letters = "".join(letter)  # edge e's letter is letters[e - 1]
+        groups = [[0]]
+        if len(comps) > 1:  # merge the components that share a crossing
+            for ci, cyc in enumerate(comps):
+                comp_of[cyc[0]:cyc[-1] + 1] = [ci] * len(cyc)
+            group_of = [[ci] for ci in range(len(comps))]
+            for a, b, _, _ in self.crossings:  # b and d lie on the over strand
+                g, h = group_of[comp_of[a]], group_of[comp_of[b]]
+                if g is not h:
+                    g += h
+                    for ci in h:
+                        group_of[ci] = g
+            groups = [g for ci, g in enumerate(group_of) if g[0] == ci]
         pieces = []
+        edges = list(range(size))
         label = [0] * size
-        for _, starts in least.values():
+        for group in groups:
+            rots = []  # (rotation from a start edge with the least letter, that edge)
+            for ci in group:
+                base, length = comps[ci][0], len(comps[ci])
+                word = letters[base - 1:base - 1 + length]
+                twice, first = word + word, min(word)
+                i = word.find(first)
+                while i >= 0:
+                    rots.append((twice[i:i + length], base + i))
+                    i = word.find(first, i + 1)
+            least = min(rots)[0]
+            cands = [start for rot, start in rots if rot == least]
             best = None
-            for start in starts:
-                order = walk(start)
-                for i, e in enumerate(order, 1):
-                    label[e] = i
+            for start in cands:
+                # Scan the labelled edges in label order (``order[i]`` has
+                # label i, and other[0] leads to the start edge) until every
+                # component of the piece is labelled.
+                other[0], order, ups, placed, pos = start, [0], [], set(), 0
+                while len(placed) < len(group):
+                    e = other[order[pos]]
+                    ci, pos = comp_of[e], pos + 1
+                    if ci not in placed:
+                        placed.add(ci)
+                        base, end, at = comps[ci][0], comps[ci][-1] + 1, len(order)
+                        label[e:end] = edges[at:at + end - e]
+                        label[base:e] = edges[at + end - e:at + end - base]
+                        order += edges[e:end] + edges[base:e]
+                        ups += under[e:end] + under[base:e]  # ``under`` in label order
                 # An edge enters at most one crossing as its under strand,
-                # so emitting in label order gives the sorted list.
-                code = [
-                    (label[a], label[b], label[c], label[d], s)
-                    for a, b, c, d, s in (under[e] for e in order if under[e])
-                ]
+                # so reading them in label order gives the sorted list.
+                code = [(label[a], label[b], label[c], label[d], s)
+                        for a, b, c, d, s in filter(None, ups)]
                 if best is None or code < best:
                     best = code
-            pieces.append(";".join(
-                "X[%d,%d,%d,%d]%s" % (a, b, c, d, "+" if s > 0 else "-")
-                for a, b, c, d, s in best
-            ))
+            pieces.append(";".join([f"X[{a},{b},{c},{d}]{'+' if s > 0 else '-'}"
+                                    for a, b, c, d, s in best]))
         return "/".join(sorted(pieces)) + f"|U{self.free_loops}"
 
     # -- text -----------------------------------------------------------
@@ -379,6 +367,21 @@ def parse_pd(text: str) -> Diagram:
 
 
 # -- validation helpers ----------------------------------------------------
+
+def _reject_arcs(quads: Tuple[Quad, ...], signs: Tuple[int, ...]):
+    """Raise for the first fault of an arc table ``Diagram._finish`` rejected,
+    by crossing and then ports 0, 2, over-in, over-out: a bad label or repeat."""
+    two_n = 2 * len(quads)
+    ends = (set(), set())
+    for q, s in zip(quads, signs):
+        for p, side in ((0, 0), (2, 1), (_over_in_port(s), 0), (_over_out_port(s), 1)):
+            e = q[p]
+            if not (1 <= e <= two_n):
+                raise DiagramError(f"edge label {e} outside 1..{two_n}")
+            if e in ends[side]:
+                raise DiagramError(f"edge {e} {('enters', 'leaves')[side]} two different crossings")
+            ends[side].add(e)
+
 
 def _dart_table(quads: Tuple[Quad, ...]) -> List[List[int]]:
     """Each edge label's two darts, in PD order; dart 4k + p is port p of
@@ -503,17 +506,19 @@ def _find_move(tail, head):
     entering its under-in port before one entering its over-in port;
     otherwise R2 at the first crossing pair ``(j, k)``, ``j < k``, joined by
     two arcs of which one runs over and the other under both crossings,
-    trying the joining arcs in the order of their ports at ``j``.  Returns the ``(crossings, arcs)`` that
+    trying the joining arcs in the order of their ports at ``j``.  Only
+    pure arcs (equal port parity at both ends) can be such arcs, so only
+    they are collected.  Returns the ``(crossings, arcs)`` that
     ``_Builder.remove`` takes, the R2 under arc first, or ``None``.
     """
     kinks = []
     joins: Dict[Tuple[int, int], list] = {}
     for a, (hk, hp) in head.items():
         tk, tp = tail[a]
-        if tk == hk:
-            if (tp - hp) % 2:
+        if (tp - hp) % 2:
+            if tk == hk:
                 kinks.append((hk, hp > 0, a))
-        elif not kinks:
+        elif tk != hk and not kinks:  # a pure arc between two crossings
             if tk < hk:
                 joins.setdefault((tk, hk), []).append((tp, hp, a))
             else:
@@ -522,12 +527,10 @@ def _find_move(tail, head):
         k, _, a = min(kinks)
         return (k,), (a,)
     for jk in sorted(jk for jk, arcs in joins.items() if len(arcs) > 1):
-        arcs = sorted(joins[jk])
-        for i, (ej, ek, e) in enumerate(arcs):
-            for fj, fk, f in arcs[i + 1:]:
-                # Ports 1 and 3 are over, 0 and 2 under.
-                if ej % 2 == ek % 2 != fj % 2 == fk % 2:
-                    return jk, ((f, e) if ej % 2 else (e, f))
+        (ej, _, e), *rest = sorted(joins[jk])
+        for fj, _, f in rest:
+            if fj % 2 != ej % 2:  # ports 1 and 3 are over, 0 and 2 under
+                return jk, ((f, e) if ej % 2 else (e, f))
     return None
 
 
@@ -537,26 +540,20 @@ class _Builder:
     Arcs are directed: ``tail`` and ``head`` map each live arc to the
     ``(crossing, port)`` it leaves and enters (copies of the diagram's
     ``_tail`` and ``_head`` at the start), and ``cr`` maps a crossing to
-    its port list and sign.  A splice keeps the smaller of the two arc ids
-    and aliases the other to it (union-find), so captured arc ids and port
-    lists stay valid, and an arc's id is the least edge label merged into
-    it.
+    its port list and sign.  A splice keeps the smaller of the two arc ids,
+    writes it into the port of the dropped arc's surviving end (unless that
+    crossing is gone) and aliases the dropped id to it.  So the ports of
+    live crossings hold live arc ids, which ``to_diagram`` reads as they
+    are, and ``find`` resolves the ids that ``remove`` and ``cross_join``
+    capture before they splice.  An arc's id is the least edge label
+    merged into it.
     """
-
-    def __init__(self):
-        self.cr: Dict[int, Tuple[List[int], int]] = {}
-        self.tail: Dict[int, Tuple[int, int]] = {}
-        self.head: Dict[int, Tuple[int, int]] = {}
-        self.alias: Dict[int, int] = {}
-        self.free_loops = 0
 
     @classmethod
     def from_diagram(cls, d: Diagram) -> "_Builder":
         b = cls()
-        b.free_loops = d.free_loops
         b.cr = {k: (list(q), s) for k, (q, s) in enumerate(zip(d.crossings, d.signs))}
-        b.tail = dict(d._tail)
-        b.head = dict(d._head)
+        b.tail, b.head, b.alias, b.free_loops = dict(d._tail), dict(d._head), {}, d.free_loops
         return b
 
     def find(self, aid: int) -> int:
@@ -574,9 +571,11 @@ class _Builder:
             return
         tail, head = self.tail.pop(x), self.head.pop(y)
         del self.head[x], self.tail[y]
-        keep = min(x, y)
+        keep, drop, (k, p) = (x, y, head) if x < y else (y, x, tail)
         self.tail[keep], self.head[keep] = tail, head
-        self.alias[x + y - keep] = keep
+        self.alias[drop] = keep
+        if k in self.cr:
+            self.cr[k][0][p] = keep
 
     def smooth(self, k: int):
         q, s = self.cr.pop(k)
@@ -620,12 +619,12 @@ class _Builder:
                 label[cur] = nxt
                 nxt += 1
                 k, p = self.head[cur]
-                cur = self.find(self.cr[k][0][(p + 2) % 4])
+                cur = self.cr[k][0][(p + 2) % 4]
                 if cur == start:
                     break
         quads = []
         signs = []
-        for ports, s in self.cr.values():
-            quads.append(tuple(label[self.find(p)] for p in ports))
+        for (a, b, c, d), s in self.cr.values():
+            quads.append((label[a], label[b], label[c], label[d]))
             signs.append(s)
         return _by_under_in(quads, signs, self.free_loops)

@@ -46,6 +46,39 @@ def test_diagram_guards():
         Diagram((), free_loops=-1)
 
 
+def test_trusted_rejects_corrupt_surgery_output():
+    # Surgery output skips the PD parser's checks, and Diagram._trusted
+    # still rejects a bad arc table.  The first fault is named, crossing by
+    # crossing and then ports 0, 2, over-in, over-out.  The bases are the
+    # trefoil with negative crossings (over-in at port 3) and its mirror
+    # (over-in at port 1).
+    neg = ((1, 5, 2, 4), (3, 1, 4, 6), (5, 3, 6, 2))
+    pos = ((4, 1, 5, 2), (6, 3, 1, 4), (2, 5, 3, 6))
+    for quads, sign in ((neg, -1), (pos, 1)):
+        assert Diagram._trusted(quads, [sign] * 3, 0).components == ((1, 2, 3, 4, 5, 6),)
+    cases = [
+        ([(1, 5, 2, 7), (3, 1, 4, 6), (5, 3, 6, 2)], -1, 0, "edge label 7 outside 1..6"),
+        ([(0, 5, 2, 4), (3, 1, 4, 6), (5, 3, 6, 2)], -1, 0, "edge label 0 outside 1..6"),
+        ([(4, 1, 5, 2), (6, 8, 1, 4), (2, 5, 3, 6)], 1, 0, "edge label 8 outside 1..6"),
+        ([(1, 5, 2, 4), (1, 3, 4, 6), (5, 3, 6, 2)], -1, 0,
+         "edge 1 enters two different crossings"),
+        ([(4, 1, 5, 2), (6, 1, 1, 4), (2, 5, 3, 6)], 1, 0,
+         "edge 1 enters two different crossings"),
+        ([(1, 5, 2, 4), (3, 1, 2, 6), (5, 3, 6, 4)], -1, 0,
+         "edge 2 leaves two different crossings"),
+        # Two faults in crossing 1: edge 2 again at port 2, label 9 at port 3.
+        ([(1, 5, 2, 4), (3, 1, 2, 9), (5, 3, 6, 2)], -1, 0,
+         "edge 2 leaves two different crossings"),
+        ([(1, 5, 3, 4), (2, 1, 4, 6), (5, 2, 6, 3)], -1, 0,
+         "edge labels not consecutive along a component (succ(1) = 3)"),
+        (neg, -1, -1, "negative free loop count"),
+    ]
+    for quads, sign, free_loops, message in cases:
+        with pytest.raises(DiagramError) as err:
+            Diagram._trusted(quads, [sign] * len(quads), free_loops)
+        assert str(err.value) == message
+
+
 def test_degenerate_kinks_are_accepted():
     # Chosen behavior: both one-crossing kink codes are valid unknot
     # diagrams, with the sign pinned by the successor structure.

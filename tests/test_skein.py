@@ -1,13 +1,15 @@
+import hashlib
 import os
 import subprocess
 import sys
 
 import pytest
 
+from clasptools.census import load_census, load_exceptional
 from clasptools.diagram import Diagram, parse_pd
 from clasptools.laurent import UNLINK_FACTOR, LaurentPoly, extract_p_i
 from clasptools.skein import BudgetExceededError, SkeinEngine
-from clasptools.tangle import closed_braid
+from clasptools.tangle import closed_braid, theorem1_catalog
 
 from oracle import P, conway_bruteforce, homfly_bruteforce, p0_bruteforce
 
@@ -171,6 +173,28 @@ def test_pinned_node_counts(word, strands, nodes):
     eng = SkeinEngine()
     eng.homfly(closed_braid(word, strands))
     assert eng.nodes_used == nodes
+
+
+def test_pinned_catalog_traversal():
+    # The 108 diagrams of theorem1_catalog(6): nodes with a fresh engine per
+    # diagram, and the memo keys one engine keeps for all of them.  A change
+    # to simplify, the canonical code or the surgery that moves either one
+    # changes which diagrams the skein visits.
+    entries = theorem1_catalog(6, load_census(), load_exceptional())
+    diagrams = [e.diagram for e in entries if e.diagram is not None]
+    assert len(diagrams) == 108
+    total = 0
+    for d in diagrams:
+        eng = SkeinEngine()
+        eng.homfly(d)
+        total += eng.nodes_used
+    assert total == 3124
+    eng = SkeinEngine()
+    for d in diagrams:
+        eng.homfly(d)
+    keys = "\n".join(sorted(eng._memo)).encode()
+    assert hashlib.sha256(keys).hexdigest() == (
+        "95979406b22bf492f1bd58bcbff3dcc012bcacbd2459ed16fc6bda1306ebb1e1")
 
 
 def test_split_link_of_ten_components():

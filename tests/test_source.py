@@ -175,6 +175,24 @@ def test_every_public_name_has_a_caller():
     assert names - used == exempt, ", ".join(sorted((names - used) ^ exempt))
 
 
+def test_every_private_definition_is_used():
+    # Every module is compiled on each import when no bytecode is cached,
+    # so a private helper that nothing calls costs set-up time for nothing.
+    # Each private top-level function or class, and each private method,
+    # needs a use in src/clasptools outside its own definition (dunder
+    # names excepted).
+    defined = set()
+    for path in SRC.glob("*.py"):
+        for name, node in _top_level(path):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(name)
+            if isinstance(node, ast.ClassDef):
+                defined |= {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+    private = {name for name in defined if name[0] == "_" and not name.endswith("__")}
+    used = set().union(*(_uses(path) for path in SRC.glob("*.py")))
+    assert private and not private - used, sorted(private - used)
+
+
 # Keyword parameters that the guard below flags, each waiting on a change to
 # bench/ and deleted by the ROADMAP direction named.
 _PENDING_PARAMETERS = (
