@@ -587,7 +587,10 @@ class _Builder:
 
         Each deleted arc's strand is rejoined: the arc entering the strand
         at its tail is spliced to the arc leaving the strand at its head
-        (port p's strand partner is port p + 2 mod 4).
+        (port p's strand partner is port p + 2 mod 4).  Given two crossings
+        of one sign and the two arcs from the first to the second, it also
+        removes a full twist of parallel strands, which rejoins each strand
+        in the same way.
         """
         joins = []
         for a in arcs:
@@ -595,6 +598,20 @@ class _Builder:
             joins.append((self.cr[tk][0][(tp + 2) % 4], self.cr[hk][0][(hp + 2) % 4]))
         for k in crossings:
             del self.cr[k]
+        for x, y in joins:
+            self.splice(x, y)
+
+    def lift(self, last: int):
+        """Delete arcs 1..last, whole components of a fresh builder, with
+        their crossings; each other strand through those is spliced through."""
+        joins = []
+        for k, (q, s) in list(self.cr.items()):
+            kept = [(q[p], q[(p + 2) % 4]) for p in (0, _over_in_port(s)) if q[p] > last]
+            if len(kept) < 2:
+                del self.cr[k]
+                joins += kept
+        for a in range(1, last + 1):
+            del self.tail[a], self.head[a]
         for x, y in joins:
             self.splice(x, y)
 

@@ -4,14 +4,23 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clasptools.census import load_census, load_exceptional
 from clasptools.diagram import Diagram, parse_pd
 from clasptools.laurent import UNLINK_FACTOR, LaurentPoly, extract_p_i
 from clasptools.skein import BudgetExceededError, SkeinEngine
-from clasptools.tangle import closed_braid, theorem1_catalog
+from clasptools.tangle import (
+    ExtendedRational,
+    MontesinosDesc,
+    closed_braid,
+    montesinos_diagram,
+    pretzel_diagram,
+    theorem1_catalog,
+)
 
-from oracle import P, conway_bruteforce, homfly_bruteforce, p0_bruteforce
+from oracle import P, conway_bruteforce, homfly_bruteforce, homfly_hecke, p0_bruteforce
 
 TREFOIL = parse_pd("PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]")
 FIG8 = parse_pd("PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]")
@@ -140,9 +149,12 @@ def test_simplify_preserves_homfly():
 
 
 def test_node_budget():
-    eng = SkeinEngine(max_nodes=2)
+    # FIG8 takes 3 nodes: a budget of 2 stops it and one of 3 answers.
     with pytest.raises(BudgetExceededError):
-        eng.homfly(TREFOIL)
+        SkeinEngine(max_nodes=2).homfly(FIG8)
+    eng = SkeinEngine(max_nodes=3)
+    assert eng.homfly(FIG8) == homfly(FIG8)
+    assert eng.nodes_used == 3
 
 
 def test_negative_limits_are_rejected():
@@ -154,22 +166,23 @@ def test_negative_limits_are_rejected():
 
 
 def test_node_budget_is_per_query():
-    eng = SkeinEngine(max_nodes=157)
-    eng.homfly(closed_braid([1, 2] * 7, 3))  # T(3,7): exactly 157 nodes
-    assert eng.nodes_used == 157
+    eng = SkeinEngine(max_nodes=121)
+    eng.homfly(closed_braid([1, 2] * 7, 3))  # T(3,7): exactly 121 nodes
+    assert eng.nodes_used == 121
     assert eng.homfly(FIG8) == homfly(FIG8)  # a fresh query, a fresh budget
-    assert eng.nodes_used > 157  # the count itself stays cumulative
+    assert eng.nodes_used > 121  # the count itself stays cumulative
 
 
 @pytest.mark.parametrize("word, strands, nodes", [
-    ([1, 2] * 7, 3, 157),  # T(3,7)
-    ([1, 2, 3] * 5, 4, 267),  # T(4,5)
-    ([1] * 14, 2, 27),  # T(2,14)
-    ([1] * 61, 2, 121),  # T(2,61)
+    ([1, 2] * 7, 3, 121),  # T(3,7)
+    ([1, 2, 3] * 5, 4, 181),  # T(4,5)
+    ([1] * 14, 2, 1),  # T(2,14), a closed-twist leaf
+    ([1] * 61, 2, 1),  # T(2,61)
 ])
 def test_pinned_node_counts(word, strands, nodes):
-    # Node counts depend on which diagrams share a memo key and on the
-    # order of Reidemeister moves in simplify; both are meant to stay put.
+    # Node counts depend on which diagrams share a memo key, on the order
+    # of Reidemeister moves in simplify and on the twist regions the skein
+    # takes whole; all are meant to stay put.
     eng = SkeinEngine()
     eng.homfly(closed_braid(word, strands))
     assert eng.nodes_used == nodes
@@ -188,13 +201,13 @@ def test_pinned_catalog_traversal():
         eng = SkeinEngine()
         eng.homfly(d)
         total += eng.nodes_used
-    assert total == 3124
+    assert total == 2404
     eng = SkeinEngine()
     for d in diagrams:
         eng.homfly(d)
     keys = "\n".join(sorted(eng._memo)).encode()
     assert hashlib.sha256(keys).hexdigest() == (
-        "95979406b22bf492f1bd58bcbff3dcc012bcacbd2459ed16fc6bda1306ebb1e1")
+        "2066a8bda37756c3f23dd246eb1c1829286cad4d1daf2a0dc332858fafb84890")
 
 
 def test_split_link_of_ten_components():
@@ -206,10 +219,12 @@ def test_split_link_of_ten_components():
 
 
 def test_memo_reuse():
+    # FIG8 is keyed; a closed twist such as TREFOIL is a leaf and no entry.
     eng = SkeinEngine()
-    eng.homfly(TREFOIL)
+    eng.homfly(FIG8)
+    assert eng._memo
     n1 = eng.nodes_used
-    eng.homfly(TREFOIL)
+    eng.homfly(FIG8)
     assert eng.nodes_used == n1 + 1  # one node: cache hit at the root
 
 
@@ -223,9 +238,10 @@ def test_memo_cap_drops_oldest_entries(monkeypatch):
 
 
 def test_conway_and_p0_are_read_off_the_memoized_homfly():
-    for d in (TREFOIL, FIG8, HOPF_POS, TREFOIL.connected_sum(FIG8)):
+    for d in (FIG8, closed_braid([1, 2] * 7, 3), TREFOIL.connected_sum(FIG8)):
         eng = SkeinEngine()
         eng.homfly(d)
+        assert eng._memo
         n = eng.nodes_used
         eng.conway(d)
         assert eng.nodes_used == n + 1  # one node: memo hit at the root
@@ -282,3 +298,79 @@ def test_p0_mirror_rule_on_census():
 
     for name, d in sorted(load_census().items()):
         assert p0(d.mirror()) == p0(d).invert_v(), name
+
+
+# -- twist step, closed-twist leaf and lift against the oracles --------------
+
+@st.composite
+def twisted_braids(draw, lengths=(20, 40), runs=(1, 12)):
+    """(word, strands): 2-5 strands, runs sigma_i^(+-k) with k in ``runs``."""
+    n = draw(st.integers(2, 5))
+    gens = [s * i for i in range(1, n) for s in (1, -1)]
+    length = draw(st.integers(*lengths))
+    word = []
+    while len(word) < length:
+        word += [draw(st.sampled_from(gens))] * draw(st.integers(*runs))
+    return word[:length], n
+
+
+@given(twisted_braids())
+@settings(max_examples=60, deadline=None)
+def test_twist_runs_match_hecke_oracle(braid):
+    word, n = braid
+    assert SkeinEngine().homfly(closed_braid(word, n)) == homfly_hecke(word, n)
+
+
+small_fractions = st.builds(ExtendedRational, st.integers(-5, 5), st.integers(1, 3))
+small_twisted_diagrams = st.one_of(
+    twisted_braids(lengths=(6, 9), runs=(3, 6)).map(lambda b: closed_braid(*b)),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=3).map(lambda t: pretzel_diagram(*t)),
+    st.tuples(small_fractions, small_fractions, small_fractions).map(
+        lambda rs: montesinos_diagram(MontesinosDesc(rs))),
+).filter(lambda d: d.num_crossings <= 9)
+
+
+@given(small_twisted_diagrams)
+@settings(max_examples=50, deadline=None)
+def test_twisted_diagrams_match_bruteforce_oracle(d):
+    assert SkeinEngine().homfly(d) == homfly_bruteforce(d)
+
+
+def test_closed_twists_follow_the_twist_recurrence():
+    # T(2, n) = closure of sigma^n: P_0 is the 2-unlink, P_1 the unknot and
+    # P_n = v^2s P_n-2 + s v^s z P_n-1; each is one node, a leaf.
+    for s in (1, -1):
+        prev, cur = UNLINK_FACTOR, P("1")
+        for n in range(1, 62):
+            eng = SkeinEngine()
+            assert eng.homfly(closed_braid([s] * n, 2)) == cur, (s, n)
+            assert eng.nodes_used == 1 and not eng._memo
+            if n <= 12:
+                assert cur == homfly_hecke([s] * n, 2)
+            prev, cur = cur, prev.shift(2 * s, 0) + cur.shift(s, 1, s)
+
+
+def _first(d, ci):
+    """d relabelled so that component ci comes first."""
+    comps = d.components
+    order = [e for c in (comps[ci],) + comps[:ci] + comps[ci + 1:] for e in c]
+    label = {e: i for i, e in enumerate(order, 1)}
+    return Diagram([tuple(label[e] for e in q) for q in d.crossings], d.free_loops)
+
+
+@pytest.mark.parametrize("p, q", [(2, 2), (2, 3), (3, 4)])
+def test_a_descending_first_component_is_lifted_off(p, q):
+    # An unknot A that passes over two strands, between a twist of them
+    # before and after it; after relabelling A is the first component, over
+    # all four of its crossings, so the skein lifts it off as a split unknot
+    # and what is left is T(2, p + q), a leaf.
+    word = [2] * p + [1, 2] + [1] * q + [-2, -1]
+    d = closed_braid(word, 3)
+    a = next(ci for ci, c in enumerate(d.components) if len(c) == 4)
+    d = _first(d, a)
+    assert d.simplify().num_crossings == p + q + 4
+    eng = SkeinEngine()
+    got = eng.homfly(d)
+    assert eng.nodes_used == 1
+    assert got == homfly_hecke(word, 3)
+    assert got == UNLINK_FACTOR * homfly(closed_braid([1] * (p + q), 2))
