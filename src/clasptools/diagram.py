@@ -546,7 +546,8 @@ class _Builder:
     live crossings hold live arc ids, which ``to_diagram`` reads as they
     are, and ``find`` resolves the ids that ``remove`` and ``cross_join``
     capture before they splice.  An arc's id is the least edge label
-    merged into it.
+    merged into it.  ``to_diagram`` relabels and emits the crossings in
+    under-in order, the form of every ``simplify`` result.
     """
 
     @classmethod
@@ -625,8 +626,10 @@ class _Builder:
 
     def to_diagram(self) -> Diagram:
         """Label each component from its least arc id, components in the
-        order of those ids, and sort the crossings by under-in label."""
+        order of those ids; the walk emits the crossings in under-in order,
+        each as it enters that crossing's port 0."""
         label: Dict[int, int] = {}
+        order = []
         nxt = 1
         for start in sorted(self.head):
             if start in label:
@@ -636,12 +639,15 @@ class _Builder:
                 label[cur] = nxt
                 nxt += 1
                 k, p = self.head[cur]
+                if not p:
+                    order.append(k)
                 cur = self.cr[k][0][(p + 2) % 4]
                 if cur == start:
                     break
         quads = []
         signs = []
-        for (a, b, c, d), s in self.cr.values():
+        for k in order:
+            (a, b, c, d), s = self.cr[k]
             quads.append((label[a], label[b], label[c], label[d]))
             signs.append(s)
-        return _by_under_in(quads, signs, self.free_loops)
+        return Diagram._trusted(quads, signs, self.free_loops)

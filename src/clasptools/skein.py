@@ -16,17 +16,22 @@ leaf, as is a descending core.
 
 There is one recursion, and each ``SkeinEngine`` has one memo table; the
 module keeps no engine of its own, so every caller makes the engine its
-queries run on.  The Conway polynomial is the HOMFLY polynomial at v = 1,
-and the zeroth coefficient polynomial is its ``extract_p_i`` coefficient 0
-(Lickorish-Millett), so both cost one memo hit once the HOMFLY polynomial
-of a diagram is known.  The CLI reads Conway and p0 off the one HOMFLY
-polynomial of each diagram itself, so an ``invariants`` or ``montesinos``
-call is one query.  Agreement of all three with an independent brute-force
-evaluation is part of the test suite.
+queries run on.  What the module does keep, computed once per process, are
+three tables of constants of the skein relation keyed by ints alone: the
+twist coefficients (a_m, b_m), the closed twists P(T(2, m)) and the powers
+of delta; they hold no diagram and no answer.  The Conway polynomial is
+the HOMFLY polynomial at v = 1, and the zeroth coefficient polynomial is
+its ``extract_p_i`` coefficient 0 (Lickorish-Millett), so both cost one
+memo hit once the HOMFLY polynomial of a diagram is known.  The CLI
+reads Conway and p0 off the one HOMFLY polynomial of each diagram itself,
+so an ``invariants`` or ``montesinos`` call is one query.  Agreement of
+all three with an independent brute-force evaluation is part of the test
+suite.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .diagram import Diagram, _Builder, _over_in_port, _over_out_port
@@ -112,13 +117,12 @@ class SkeinEngine:
                     )
                 core, loops, k = _core(task)
                 if k is None:  # a descending core: an unlink
-                    values.append(UNLINK_FACTOR ** (len(core.components) + loops - 1))
+                    values.append(_unlink_power(len(core.components) + loops - 1))
                     continue
                 chain, closed = _twist(core, k)
                 m, sign = len(chain), core.signs[k]
                 if closed and m == core.num_crossings:  # T(2, m)
-                    a, b = _twist_coefficients(sign, m)
-                    cached = a + b * UNLINK_FACTOR
+                    cached = _closed_twist(sign, m)
                 else:
                     key = core.canonical_code()
                     cached = self._memo.get(key)
@@ -144,7 +148,7 @@ class SkeinEngine:
                 d1 = values.pop()
                 cached = a * d1 + b * values.pop()
                 self._remember(key, cached)
-            values.append(cached * UNLINK_FACTOR ** loops if loops else cached)
+            values.append(cached * _unlink_power(loops) if loops else cached)
         return values.pop()
 
 
@@ -206,6 +210,7 @@ def _twist(d: Diagram, k: int) -> Tuple[List[int], bool]:
     return chain, False
 
 
+@lru_cache(maxsize=None)
 def _twist_coefficients(sign: int, m: int) -> Tuple[LaurentPoly, LaurentPoly]:
     """(a_m, b_m): the switch/smooth step P_j = v^2s P_j-2 + s v^s z P_j-1
     of a twist of sign s unrolled from (a_0, b_0) = (0, 1), (a_1, b_1) = (1, 0)."""
@@ -214,6 +219,19 @@ def _twist_coefficients(sign: int, m: int) -> Tuple[LaurentPoly, LaurentPoly]:
         a, b, a1, b1 = (a1, b1, a.shift(2 * sign, 0) + a1.shift(sign, 1, sign),
                         b.shift(2 * sign, 0) + b1.shift(sign, 1, sign))
     return a1, b1
+
+
+@lru_cache(maxsize=None)
+def _closed_twist(sign: int, m: int) -> LaurentPoly:
+    """P(T(2, m)) of sign s, the closure of a twist: a_m + b_m delta."""
+    a, b = _twist_coefficients(sign, m)
+    return a + b * UNLINK_FACTOR
+
+
+@lru_cache(maxsize=None)
+def _unlink_power(n: int) -> LaurentPoly:
+    """delta^n, the factor of n split unknots."""
+    return UNLINK_FACTOR ** n
 
 
 def _untwist(d: Diagram, chain: List[int], smooth: int) -> Diagram:

@@ -6,8 +6,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clasptools.census import load_census
-from clasptools.diagram import Diagram, DiagramError, _Builder, parse_pd
-from clasptools.skein import SkeinEngine
+from clasptools.diagram import (
+    Diagram,
+    DiagramError,
+    _Builder,
+    _by_under_in,
+    _find_move,
+    parse_pd,
+)
+from clasptools.skein import SkeinEngine, _twist, _untwist
 from clasptools.tangle import closed_braid
 
 from oracle import (
@@ -244,8 +251,8 @@ def _relabel(d, rnd):
 
 
 @st.composite
-def braid_closures(draw, max_strands=5, max_len=7):
-    n = draw(st.integers(2, max_strands))
+def braid_closures(draw, max_strands=5, max_len=7, min_strands=2):
+    n = draw(st.integers(min_strands, max_strands))
     letters = st.integers(1, n - 1).flatmap(lambda g: st.sampled_from([g, -g]))
     return closed_braid(draw(st.lists(letters, min_size=1, max_size=max_len)), n)
 
@@ -354,6 +361,32 @@ def test_simplify_without_a_move():
         s = d.simplify()
         assert s.num_crossings == d.num_crossings
         assert s == _Builder.from_diagram(d).to_diagram()
+
+
+def _in_under_in_order(d):
+    quads = d.crossings
+    return (all(p[0] < q[0] for p, q in zip(quads, quads[1:]))
+            and d == _by_under_in(quads, d.signs, d.free_loops))
+
+
+@given(braid_closures(4, 15, min_strands=3))
+@settings(max_examples=60, deadline=None)
+def test_builder_emits_crossings_in_under_in_order(d):
+    # _find_move picks moves by crossing index, so surgery output listed in
+    # another order would change the moves simplify makes and the diagrams
+    # the skein visits.  A diagram with no move simplifies to the builder's
+    # copy of itself.
+    rebuilt, s = _Builder.from_diagram(d).to_diagram(), d.simplify()
+    assert _in_under_in_order(rebuilt) and _in_under_in_order(s)
+    if _find_move(d._tail, d._head) is None:
+        assert s == rebuilt
+    for k in range(d.num_crossings):
+        assert _in_under_in_order(d.smooth_crossing(k))
+    for k in range(s.num_crossings):
+        chain, closed = _twist(s, k)
+        if not (closed and len(chain) == s.num_crossings):  # T(2, m) is a leaf
+            assert _in_under_in_order(_untwist(s, chain, 0))
+            assert _in_under_in_order(_untwist(s, chain, 1))
 
 
 def _simplified(d):

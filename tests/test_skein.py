@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -208,6 +209,27 @@ def test_pinned_catalog_traversal():
     keys = "\n".join(sorted(eng._memo)).encode()
     assert hashlib.sha256(keys).hexdigest() == (
         "2066a8bda37756c3f23dd246eb1c1829286cad4d1daf2a0dc332858fafb84890")
+
+
+def test_pinned_braid_links_pool():
+    # Every PD of the benchmark's braid_links pool (read only), a fresh
+    # engine each: the HOMFLY text matches the frozen answer wherever the
+    # pool records no known defect, and the nodes add up as pinned.
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "data", "braid_links.json")
+    with open(path) as f:
+        data = json.load(f)
+    queries = data["fixed"] + data["pool"]
+    assert len(queries) == 642
+    total, wrong = 0, []
+    for q in queries:
+        eng = SkeinEngine()
+        text = eng.homfly(parse_pd(q["pd"])).to_text()
+        total += eng.nodes_used
+        if q["known_defect"] is None and text != q["expect"]["homfly"]:
+            wrong.append(q["id"])
+    assert not wrong, wrong
+    assert total == 10444
 
 
 def test_split_link_of_ten_components():

@@ -17,6 +17,37 @@ def test_no_assert_statements_in_package():
     assert SRC.is_dir() and not found, found
 
 
+def _is_cache(decorator):
+    """Whether a decorator is ``lru_cache`` or ``cache``, called or not,
+    plain or as ``functools.<name>``."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = getattr(decorator, "attr", None) or getattr(decorator, "id", None)
+    return name in ("lru_cache", "cache")
+
+
+def test_process_wide_caches_take_only_ints():
+    # A cache decorator keeps its table for the life of the process.  Keyed
+    # on ints alone, it can hold only constants of the algebra (a twist's
+    # coefficients, a power of delta, a search space), never a diagram's
+    # polynomial or a query's answer, so every query still starts cold.
+    cached, found = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not any(_is_cache(dec) for dec in fn.decorator_list):
+                continue
+            cached.append(fn.name)
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            found += [f"{path.name}:{fn.lineno} {fn.name}({a.arg})" for a in params
+                      if not (isinstance(a.annotation, ast.Name) and a.annotation.id == "int")]
+    assert "_search_space" in cached and not found, found
+
+
 def test_trace_targets_exist():
     # bench/tracing.py wraps these names from outside the package; a renamed
     # or moved one would only break a traced benchmark run.
