@@ -19,7 +19,9 @@ counter: they arise naturally when a smoothing strands a component.  In
 PD text they are written as ``U`` tokens, and the bare ``PD[]`` is the
 unknot.
 
-Diagrams are immutable; every operation returns a fresh value.
+Diagrams are immutable; every operation returns a fresh value.  The
+order of the crossing list carries no meaning (``simplify`` ranks moves by
+edge label); emitted PD text lists the crossings by under-in label.
 """
 
 from __future__ import annotations
@@ -66,6 +68,13 @@ class Diagram:
         self = object.__new__(cls)
         self._finish(tuple(quads), tuple(signs), free_loops)
         return self
+
+    def _without_loops(self) -> "Diagram":
+        """This diagram less its free loops, sharing its checked arc table."""
+        d = object.__new__(Diagram)
+        for name in self.__slots__:
+            object.__setattr__(d, name, 0 if name == "free_loops" else getattr(self, name))
+        return d
 
     def _finish(self, quads: Tuple[Quad, ...], signs: Tuple[int, ...], free_loops: int):
         """Build the arc table and the components, rejecting bad codes.
@@ -181,22 +190,18 @@ class Diagram:
         """
         shift = self.num_edges
         quads = self.crossings + tuple(tuple(e + shift for e in q) for q in other.crossings)
-        return _by_under_in(quads, self.signs + other.signs, self.free_loops + other.free_loops)
+        return Diagram._trusted(quads, self.signs + other.signs, self.free_loops + other.free_loops)
 
     def simplify(self) -> "Diagram":
         """Exhaustively apply crossing-decreasing Reidemeister I/II moves.
 
-        Each round makes the move ``_find_move`` picks.  A diagram with no
-        move keeps its labels, and its crossings come back sorted by
-        under-in label (the diagram itself when they already are), which is
-        the form every ``simplify`` result has.
+        Each round makes the move ``_find_move`` picks by arc label, so the
+        result does not depend on how the crossings are listed.  A diagram
+        with no move comes back as itself.
         """
         move = _find_move(self._tail, self._head)
         if move is None:
-            quads = self.crossings
-            if all(p[0] < q[0] for p, q in zip(quads, quads[1:])):
-                return self
-            return _by_under_in(quads, self.signs, self.free_loops)
+            return self
         b = _Builder.from_diagram(self)
         while move is not None:
             b.remove(*move)
@@ -490,47 +495,43 @@ def _infer_signs(quads: Tuple[Quad, ...], darts: List[List[int]]) -> Tuple[int, 
 
 # -- surgery ----------------------------------------------------------------
 
-def _by_under_in(quads: Sequence[Quad], signs: Sequence[int], free_loops: int) -> Diagram:
-    """The diagram with its crossings sorted by under-in label."""
-    order = sorted(range(len(quads)), key=lambda i: quads[i][0])
-    return Diagram._trusted([quads[i] for i in order], [signs[i] for i in order], free_loops)
-
-
 def _find_move(tail, head):
-    """The first Reidemeister I/II move of a diagram, in one pass over its arcs.
+    """The first Reidemeister I/II move of a diagram, in two passes over its arcs.
 
     ``tail`` and ``head`` map each arc to the ``(crossing, port)`` it leaves
-    and enters: a diagram's arc table, or a ``_Builder``'s.  The move is the
-    one a scan over the crossings takes first: R1 at the least crossing with
-    a kink (an arc joining two adjacent ports of one crossing), the kink
-    entering its under-in port before one entering its over-in port;
-    otherwise R2 at the first crossing pair ``(j, k)``, ``j < k``, joined by
-    two arcs of which one runs over and the other under both crossings,
-    trying the joining arcs in the order of their ports at ``j``.  Only
-    pure arcs (equal port parity at both ends) can be such arcs, so only
-    they are collected.  Returns the ``(crossings, arcs)`` that
+    and enters: a diagram's arc table, or a ``_Builder``'s.  A crossing's
+    rank r is the arc entering its port 0 (so ``head[r][0]`` is the crossing),
+    and the move is the first of a scan by rank: R1 at the least crossing
+    with a kink (an arc joining two adjacent ports of one crossing), the kink
+    entering its under-in port first; else R2 at the first crossing pair
+    ``(j, k)``, j ranked below k, joined by two arcs of which one runs over
+    and the other under both, trying the arcs in the order of their ports at
+    ``j``.  Only pure arcs (equal port parity at both ends) can be such arcs,
+    so only they are collected.  Returns the ``(crossings, arcs)`` that
     ``_Builder.remove`` takes, the R2 under arc first, or ``None``.
     """
+    rank = {k: a for a, (k, p) in head.items() if not p}
     kinks = []
     joins: Dict[Tuple[int, int], list] = {}
     for a, (hk, hp) in head.items():
         tk, tp = tail[a]
         if (tp - hp) % 2:
             if tk == hk:
-                kinks.append((hk, hp > 0, a))
+                kinks.append((rank[hk], hp > 0, a))
         elif tk != hk and not kinks:  # a pure arc between two crossings
-            if tk < hk:
-                joins.setdefault((tk, hk), []).append((tp, hp, a))
+            rt, rh = rank[tk], rank[hk]
+            if rt < rh:
+                joins.setdefault((rt, rh), []).append((tp, hp, a))
             else:
-                joins.setdefault((hk, tk), []).append((hp, tp, a))
+                joins.setdefault((rh, rt), []).append((hp, tp, a))
     if kinks:
-        k, _, a = min(kinks)
-        return (k,), (a,)
-    for jk in sorted(jk for jk, arcs in joins.items() if len(arcs) > 1):
-        (ej, _, e), *rest = sorted(joins[jk])
+        r, _, a = min(kinks)
+        return (head[r][0],), (a,)
+    for rj, rk in sorted(jk for jk, arcs in joins.items() if len(arcs) > 1):
+        (ej, _, e), *rest = sorted(joins[rj, rk])
         for fj, _, f in rest:
             if fj % 2 != ej % 2:  # ports 1 and 3 are over, 0 and 2 under
-                return jk, ((f, e) if ej % 2 else (e, f))
+                return (head[rj][0], head[rk][0]), ((f, e) if ej % 2 else (e, f))
     return None
 
 
@@ -546,8 +547,8 @@ class _Builder:
     live crossings hold live arc ids, which ``to_diagram`` reads as they
     are, and ``find`` resolves the ids that ``remove`` and ``cross_join``
     capture before they splice.  An arc's id is the least edge label
-    merged into it.  ``to_diagram`` relabels and emits the crossings in
-    under-in order, the form of every ``simplify`` result.
+    merged into it; ``_find_move`` ranks a crossing by the id at its port 0.
+    ``to_diagram`` relabels and emits the crossings in under-in order.
     """
 
     @classmethod

@@ -12,7 +12,8 @@ one lie descending over the rest, a split unlink, and are lifted off for
 a factor each; a site in a parallel twist of m >= 3 crossings takes the
 whole twist in one step, P(D) = a_m P(D_1) + b_m P(D_0) with D_j keeping
 j of its crossings; and a core that is one closed twist, T(2, m), is a
-leaf, as is a descending core.
+leaf, as is a descending core.  Every step has that one shape: a lone
+crossing is the step at m = 2, with D_1 its smoothing and D_0 its switch.
 
 There is one recursion, and each ``SkeinEngine`` has one memo table; the
 module keeps no engine of its own, so every caller makes the engine its
@@ -98,11 +99,10 @@ class SkeinEngine:
     def _homfly(self, d: Diagram) -> LaurentPoly:
         """The skein recursion, depth-first on an explicit stack.
 
-        A task is a diagram to evaluate or a step that combines the two
-        child values on top of ``values``: ``(key, sign, loops)`` for a
-        switch/smooth step, ``(key, a, b, loops)`` for a twist step.  The
-        second child is pushed after the first, so nodes are visited,
-        counted and memoized in plain recursive order.
+        A task is a diagram to evaluate or a step ``(key, a, b, loops)``
+        that combines the two child values on top of ``values`` as
+        a P(D_1) + b P(D_0).  The second child is pushed after the first,
+        so nodes are visited, counted and memoized in plain recursive order.
         """
         limit = self.nodes_used + self.max_nodes  # the budget is per query
         values: List[LaurentPoly] = []
@@ -127,22 +127,12 @@ class SkeinEngine:
                     key = core.canonical_code()
                     cached = self._memo.get(key)
                     if cached is None:
-                        if m < 3:
-                            tasks.append((key, sign, loops))
-                            tasks.append(core.smooth_crossing(k))
-                            tasks.append(core.switch_crossing(k))
+                        if m < 3:  # a lone crossing: the twist step at m = 2
+                            m, d1, d0 = 2, core.smooth_crossing(k), core.switch_crossing(k)
                         else:
-                            tasks.append((key, *_twist_coefficients(sign, m), loops))
-                            tasks.append(_untwist(core, chain, 1 - m % 2))  # D_1
-                            tasks.append(_untwist(core, chain, m % 2))  # D_0
+                            d1, d0 = _untwist(core, chain, 1 - m % 2), _untwist(core, chain, m % 2)
+                        tasks += ((key, *_twist_coefficients(sign, m), loops), d1, d0)
                         continue
-            elif len(task) == 3:
-                key, sign, loops = task
-                sm = values.pop()
-                sw = values.pop()
-                # v^±2 P(switched) + (±v^±1) z P(smoothed)
-                cached = sw.shift(2 * sign, 0) + sm.shift(sign, 1, sign)
-                self._remember(key, cached)
             else:
                 key, a, b, loops = task
                 d1 = values.pop()
@@ -162,7 +152,7 @@ def _core(d: Diagram) -> Tuple[Diagram, int, Optional[int]]:
         d = d.simplify()
         if d.free_loops:
             loops += d.free_loops
-            d = Diagram._trusted(d.crossings, d.signs, 0)
+            d = d._without_loops()
         i, k = _descending_violation(d)
         if not i:
             return d, loops, k

@@ -34,7 +34,7 @@ from functools import reduce
 from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .diagram import Diagram, _by_under_in, _faces
+from .diagram import Diagram, _faces
 
 End = int  # dart 4c + s (slot s of crossing c), or boundary end -1 - i
 
@@ -350,11 +350,13 @@ def insert_clasp(t: Tangle, dart_a: End, dart_b: End, sign: int) -> Tangle:
 def _emit(t: Tangle, down: frozenset = frozenset()) -> Diagram:
     """Orient a closed tangle by component tracing and emit a PD diagram;
     a walk starts at its least dart, or at that dart's partner ``^ 2``
-    through the crossing when only the partner is in ``down``."""
+    through the crossing when only the partner is in ``down``.  A crossing
+    is listed as a walk enters its under strand: by under-in label."""
     if any(e < 0 for e in t.pair):
         raise ValueError("tangle still has open boundary ends")
     label_at: Dict[End, int] = {}
     heads: List[List[int]] = [[] for _ in range(t.num_crossings)]  # in-slots
+    order = []
     nxt = 1
     for start in sorted(t.pair):
         if start in label_at:
@@ -369,18 +371,20 @@ def _emit(t: Tangle, down: frozenset = frozenset()) -> Diagram:
             label_at[cur] = label_at[far] = nxt
             nxt += 1
             heads[far // 4].append(far % 4)
+            if far % 2 == 0:
+                order.append(far // 4)
             cur = far ^ 2
             if cur == start:
                 break
     quads = []
     signs = []
-    for c, slots in enumerate(heads):
+    for c in order:
         # Every arc is walked once, so the trace enters each crossing once
         # on the strand through slots 0/2 and once on the one through 1/3.
-        u, o = sorted(slots, key=lambda s: s % 2)
+        u, o = sorted(heads[c], key=lambda s: s % 2)
         quads.append(tuple(label_at[4 * c + (u + i) % 4] for i in range(4)))
         signs.append(1 if o == (u + 1) % 4 else -1)
-    return _by_under_in(quads, signs, t.loops)
+    return Diagram._trusted(quads, signs, t.loops)
 
 
 def montesinos_diagram(m: MontesinosDesc) -> Diagram:

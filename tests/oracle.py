@@ -9,10 +9,11 @@ engine's descending strategy.  Exponential, but fine at oracle scale
 
 It also keeps the brute-force canonical code, the minimum over every
 relabeling, as the reference for the traversal code in ``Diagram``, and
-the restart scan (R1 scan, else R2 scan, from the lowest crossing after
-every move) as the reference for the one-pass move finder of
-``Diagram.simplify``, and the all-pairs S3-S5 search as the reference for
-the open-book witness search, which tries one x image per cycle type.
+the restart scan (R1 scan, else R2 scan, over the crossings ranked by
+the arc entering their port 0, after every move) as the reference for
+the one-pass move finder of ``Diagram.simplify``, and the all-pairs
+S3-S5 search as the reference for the open-book witness search, which
+tries one x image per cycle type.
 Last, ``pd_code_is_valid`` checks a PD code by trying every orientation
 of its over strands, as the reference for ``Diagram``'s one-pass sign
 inference and its dart-table planarity check.  And ``homfly_hecke``
@@ -149,7 +150,8 @@ def canonical_code_bruteforce(d: Diagram) -> str:
 
 def simplify_restart_scan(d: Diagram) -> Diagram:
     """``Diagram.simplify`` as a restart scan: after every move, scan the
-    crossings from the lowest for an R1 kink, else for an R2 bigon."""
+    crossings in the order of the arc ids entering their port 0 for an R1
+    kink, else for an R2 bigon."""
     b = _Builder.from_diagram(d)
     while _reduce_r1(b) or _reduce_r2(b):
         pass
@@ -172,8 +174,12 @@ def _delete_arc(b, a):
     del b.tail[a], b.head[a]
 
 
+def _by_rank(b):
+    return sorted(b.cr, key=lambda k: _arc_at(b, k, 0))
+
+
 def _reduce_r1(b) -> bool:
-    for k in sorted(b.cr):
+    for k in _by_rank(b):
         for ip in _in_ports(b, k):
             a = _arc_at(b, k, ip)
             tail = b.tail[a]
@@ -192,10 +198,9 @@ def _reduce_r1(b) -> bool:
 
 
 def _reduce_r2(b) -> bool:
-    for j in sorted(b.cr):
-        for k in sorted(b.cr):
-            if k <= j:
-                continue
+    ranked = _by_rank(b)
+    for i, j in enumerate(ranked):
+        for k in ranked[i + 1:]:
             between = []
             for p in range(4):
                 a = _arc_at(b, j, p)

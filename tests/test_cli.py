@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -198,6 +199,16 @@ def test_catalog_command(capsys):
     for r in rows:
         if "pd" in r:
             assert r["a4"] in (1, -1)
+
+
+def test_pinned_catalog_text(capsys):
+    # Every catalog PD text comes from the tangle emitter or the builder,
+    # both of which list each crossing as their walk enters its under
+    # strand; the whole output is meant to stay byte for byte.
+    code, out, err = run(capsys, "catalog", "--n-bound", "6")
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9a81702672afe2cae9b53904f5504a2a9e804bbde73ede52b104a7be309367db")
 
 
 def test_openbook_commands(capsys):

@@ -10,7 +10,6 @@ from clasptools.diagram import (
     Diagram,
     DiagramError,
     _Builder,
-    _by_under_in,
     _find_move,
     parse_pd,
 )
@@ -23,6 +22,7 @@ from oracle import (
     pd_code_is_valid,
     simplify_restart_scan,
 )
+from strategies import braid_closures, listed
 
 TREFOIL = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
 FIG8 = "PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]"
@@ -250,13 +250,6 @@ def _relabel(d, rnd):
     return Diagram._trusted([q for q, _ in items], [s for _, s in items], d.free_loops)
 
 
-@st.composite
-def braid_closures(draw, max_strands=5, max_len=7, min_strands=2):
-    n = draw(st.integers(min_strands, max_strands))
-    letters = st.integers(1, n - 1).flatmap(lambda g: st.sampled_from([g, -g]))
-    return closed_braid(draw(st.lists(letters, min_size=1, max_size=max_len)), n)
-
-
 def _oracle_cost(d):
     return math.factorial(len(d.components)) * math.prod(len(c) for c in d.components)
 
@@ -350,36 +343,31 @@ def test_simplify():
 
 
 def test_simplify_without_a_move():
-    # A diagram with no move keeps its labels; its crossings come back
-    # sorted by under-in label, as the builder would emit them.
+    # A diagram with no move comes back as itself, however its crossings
+    # are listed.
     t = parse_pd(TREFOIL)
-    assert t.simplify() is t
     rotated = parse_pd("PD[X[3,6,4,1],X[5,2,6,3],X[1,4,2,5]]")
-    s = rotated.simplify()
-    assert s is not rotated and s == t
-    for d in (t, rotated, parse_pd(FIG8), parse_pd(HOPF_NEG).disjoint_union(t)):
-        s = d.simplify()
-        assert s.num_crossings == d.num_crossings
-        assert s == _Builder.from_diagram(d).to_diagram()
+    fig8 = parse_pd(FIG8)
+    backwards = listed(fig8, [3, 2, 1, 0])
+    for d in (t, rotated, fig8, backwards, parse_pd(HOPF_NEG).disjoint_union(t)):
+        assert _find_move(d._tail, d._head) is None
+        assert d.simplify() is d
 
 
 def _in_under_in_order(d):
-    quads = d.crossings
-    return (all(p[0] < q[0] for p, q in zip(quads, quads[1:]))
-            and d == _by_under_in(quads, d.signs, d.free_loops))
+    return all(p[0] < q[0] for p, q in zip(d.crossings, d.crossings[1:]))
 
 
 @given(braid_closures(4, 15, min_strands=3))
 @settings(max_examples=60, deadline=None)
 def test_builder_emits_crossings_in_under_in_order(d):
-    # _find_move picks moves by crossing index, so surgery output listed in
-    # another order would change the moves simplify makes and the diagrams
-    # the skein visits.  A diagram with no move simplifies to the builder's
-    # copy of itself.
+    # Emitted PD text lists the crossings in under-in order: the builder's
+    # walk lists each crossing as it enters that crossing's port 0.  A
+    # diagram with no move simplifies to itself, equal to its builder copy.
     rebuilt, s = _Builder.from_diagram(d).to_diagram(), d.simplify()
     assert _in_under_in_order(rebuilt) and _in_under_in_order(s)
     if _find_move(d._tail, d._head) is None:
-        assert s == rebuilt
+        assert s is d and s == rebuilt
     for k in range(d.num_crossings):
         assert _in_under_in_order(d.smooth_crossing(k))
     for k in range(s.num_crossings):
@@ -389,16 +377,37 @@ def test_builder_emits_crossings_in_under_in_order(d):
             assert _in_under_in_order(_untwist(s, chain, 1))
 
 
-def _simplified(d):
-    return d.crossings, d.signs, d.free_loops
+@st.composite
+def _with_free_loops(draw):
+    """A smoothing of a braid closure, or a closure with unused strands."""
+    d = draw(braid_closures())
+    if d.num_crossings and draw(st.booleans()):
+        return d.smooth_crossing(draw(st.integers(0, d.num_crossings - 1)))
+    return closed_braid(draw(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=5)),
+                        draw(st.integers(3, 5)))
 
 
-@given(braid_closures(), st.one_of(st.none(), braid_closures(3, 4)))
+@given(_with_free_loops())
 @settings(max_examples=60, deadline=None)
-def test_simplify_matches_restart_scan(base, extra):
+def test_without_loops_equals_a_rebuild(d):
+    assume(d.free_loops)
+    rebuilt, bare = Diagram._trusted(d.crossings, d.signs, 0), d._without_loops()
+    for name in Diagram.__slots__:
+        assert getattr(bare, name) == getattr(rebuilt, name), name
+
+
+def _simplified(d):
+    # Crossing order carries no meaning; labels and signs do.
+    return sorted(zip(d.crossings, d.signs)), d.free_loops
+
+
+@given(braid_closures(), st.one_of(st.none(), braid_closures(3, 4)), st.randoms())
+@settings(max_examples=60, deadline=None)
+def test_simplify_matches_restart_scan(base, extra, rnd):
     if extra is not None:
         base = base.disjoint_union(extra)
-    family = [base]
+    order = list(range(base.num_crossings))
+    family = [base, listed(base, order[::-1]), listed(base, rnd.sample(order, len(order)))]
     for k in range(base.num_crossings):
         family += [base.smooth_crossing(k), base.switch_crossing(k)]
     for d in family:

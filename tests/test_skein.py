@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clasptools.census import load_census, load_exceptional
@@ -22,6 +22,7 @@ from clasptools.tangle import (
 )
 
 from oracle import P, conway_bruteforce, homfly_bruteforce, homfly_hecke, p0_bruteforce
+from strategies import braid_closures, listed
 
 TREFOIL = parse_pd("PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]")
 FIG8 = parse_pd("PD[X[4,2,5,1],X[8,6,1,5],X[6,3,7,4],X[2,7,3,8]]")
@@ -221,15 +222,35 @@ def test_pinned_braid_links_pool():
         data = json.load(f)
     queries = data["fixed"] + data["pool"]
     assert len(queries) == 642
-    total, wrong = 0, []
+    total, wrong, keys = 0, [], hashlib.sha256()
     for q in queries:
         eng = SkeinEngine()
         text = eng.homfly(parse_pd(q["pd"])).to_text()
         total += eng.nodes_used
         if q["known_defect"] is None and text != q["expect"]["homfly"]:
             wrong.append(q["id"])
+        for key in eng._memo:  # in insertion order, the order nodes finish
+            keys.update(key.encode() + b"\n")
     assert not wrong, wrong
     assert total == 10444
+    assert keys.hexdigest() == (
+        "97820defeb272e64703aacafa0e91fc7623bbb5fd92ddaa41a81cae276276895")
+
+
+def _traversal(d):
+    eng = SkeinEngine()
+    return eng.homfly(d), eng.nodes_used, d.simplify().canonical_code()
+
+
+@given(braid_closures(4, 10).flatmap(
+    lambda d: st.tuples(st.just(d), st.permutations(range(d.num_crossings)))))
+@example((closed_braid([2, -2, 3, -2, -3, 2, 2, -3, 1, -2], 4), [1, 2, 8, 6, 7, 0, 9, 4, 3, 5]))
+@settings(max_examples=100, deadline=None)
+def test_traversal_ignores_crossing_order(listing):
+    # Simplify ranks crossings by arc label, so how a diagram's crossings
+    # are listed changes neither the skein's nodes nor the simplified core.
+    d, order = listing
+    assert _traversal(listed(d, order)) == _traversal(d)
 
 
 def test_split_link_of_ten_components():
