@@ -12,27 +12,31 @@ the triple before any word is built; H1 != 1 proves pi1 nontrivial.
 With |a| <= 1, pi1 is cyclic (a = 0 gives Z/b * Z/c, and a = +-1 writes
 y as a power of x), so H1 = 1 makes it trivial: Todd-Coxeter coset
 enumeration closes < x, y | x, y > to order 1.  Every other triple goes
-to an exhaustive search for a nontrivial map into S3, S4 or S5; the
-binary icosahedral groups of (2, -3, -5) and (-2, 3, 5) map onto A5
-(Coxeter & Moser, *Generators and Relations for Discrete Groups*,
-ch. 4), so S5 certifies both.  When the search finds nothing, the
-verdict is `inconclusive` with `{"method": "exhausted", "max_degree": 5}`,
-never silently converted.
+to an exhaustive search for a nontrivial map into A5.  There H1 = 1, so
+pi1 is perfect, with no other nontrivial image in S3, S4 or S5: the image
+K of a map into S5 has K/[K, K] of order dividing both |H1| and 120, so
+with |H1| prime to 60, K is perfect: trivial in the solvable S3 and S4,
+and inside [S5, S5] = A5 in S5.  The binary icosahedral groups of
+(2, -3, -5) and (-2, 3, 5) map onto A5 (Coxeter & Moser, *Generators and
+Relations for Discrete Groups*, ch. 4).  When the search finds nothing,
+the verdict is `inconclusive` with `{"method": "exhausted",
+"max_degree": 5}`, never silently converted.
 
 No relator is longer than 90 letters, whatever the exponents: the
 witness search reduces each exponent into [-29, 30], since every element
-of S3, S4 and S5 has order dividing 60, so the same pairs kill the
-relators.
+of S5 has order dividing 60, so the same pairs kill the relators; the
+determinant ab + bc + ca keeps its residue mod 60, so H1 stays prime to 60.
 
-The search tries one x image per cycle type and every y image.  A pair
-conjugated by any permutation still kills the relators, so it returns the
-first pair of the all-pairs search (S5: 7 x 120 pairs, not 120 x 120).
+The search tries one x image per even cycle type and every even y image.
+A pair conjugated by any permutation still kills the relators, so it
+returns the first pair of the all-pairs search (4 x 60 pairs, not 120 x 120).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
+from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 Word = Tuple[int, ...]  # signed generator indices: 1 = x, -1 = x^-1, 2 = y, -2 = y^-1
@@ -208,19 +212,17 @@ def todd_coxeter(p: Presentation, max_cosets: int = 20000) -> Optional[int]:
 # -- homomorphism witnesses ---------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _search_space(deg: int):
-    """Permutations of range(deg) in order, their inverses, and the x images.
+def _search_space():
+    """Even permutations of range(5) in order, their inverses, and the x images.
 
-    The x images are the permutations that come first of their cycle type,
-    that is of their conjugacy class, in `permutations(range(deg))` order.
+    The x images are the even permutations that come first of their cycle
+    type (1^5, 2^2 1, 3 1^2, 5) in `permutations(range(5))` order.
     """
-    elems = list(permutations(range(deg)))
-    inv = {}
+    elems, inv = [], {}
     firsts: Dict[Tuple[int, ...], tuple] = {}
-    for e in elems:
-        inv[e] = tuple(sorted(range(deg), key=e.__getitem__))
+    for e in permutations(range(5)):
         lengths, seen = [], set()
-        for i in range(deg):
+        for i in range(5):
             n = 0
             while i not in seen:
                 seen.add(i)
@@ -228,6 +230,10 @@ def _search_space(deg: int):
                 n += 1
             if n:
                 lengths.append(n)
+        if len(lengths) % 2 == 0:
+            continue  # odd: k cycles make 5 - k transpositions
+        elems.append(e)
+        inv[e] = tuple(sorted(range(5), key=e.__getitem__))
         firsts.setdefault(tuple(sorted(lengths)), e)
     return tuple(elems), inv, tuple(firsts.values())
 
@@ -244,28 +250,30 @@ def _kills(word: Word, maps: Dict[int, tuple], deg: int) -> bool:
 
 
 def nontriviality_witness(p: Presentation) -> Optional[Dict[str, object]]:
-    """A nontrivial map into S3, S4 or S5 as a certificate, or None.
+    """A nontrivial map into A5, inside S5, as a certificate, or None.
 
-    Returns the first pair of images for x and y, S3 first and then in
-    `permutations` order with x outer, that kills every relator and is not
-    both the identity.  Only an x that comes first of its cycle type is
-    tried: conjugating a pair gives another pair with the same property, so
-    the first x with any partner is the first of its conjugacy class, and
-    for that x every y is tried in order.  A relator dies when every
-    point, chased through its letters last letter first, comes back to
-    itself.
+    Complete for maps into S3, S4 and S5 when the order of H1 is prime to
+    60 (module docstring), and raises ValueError otherwise.  Returns the
+    first pair of even images for x and y, in `permutations` order with x
+    outer, that kills every relator and is not both the identity.  Only an
+    x that comes first of its cycle type is tried: conjugating a pair gives
+    another pair with the same property, so the first x with any partner
+    is the first of its conjugacy class, and for that x every even y is
+    tried in order.  A relator dies when every point, chased through its
+    letters last letter first, comes back to itself.
     """
-    for deg in (3, 4, 5):
-        elems, inv, xs = _search_space(deg)
-        ident = elems[0]
-        for ix in xs:
-            for iy in elems:
-                if ix == ident and iy == ident:
-                    continue
-                maps = {1: ix, -1: inv[ix], 2: iy, -2: inv[iy]}
-                if all(_kills(r, maps, deg) for r in p.relators):
-                    return {"method": "homomorphism", "target": f"S{deg}",
-                            "image_x": ix, "image_y": iy}
+    if gcd(abelianization_order(p), 60) != 1:
+        raise ValueError("the A5 search is complete only when |H1| is prime to 60")
+    elems, inv, xs = _search_space()
+    ident = elems[0]
+    for ix in xs:
+        for iy in elems:
+            if ix == ident and iy == ident:
+                continue
+            maps = {1: ix, -1: inv[ix], 2: iy, -2: inv[iy]}
+            if all(_kills(r, maps, 5) for r in p.relators):
+                return {"method": "homomorphism", "target": "S5",
+                        "image_x": ix, "image_y": iy}
     return None
 
 
@@ -289,8 +297,8 @@ def _decide(t: OpenBookTriple) -> Tuple[str, Dict[str, object]]:
     """Verdict and certificate for a normalized triple.
 
     H1 from the triple; with H1 = 1 and |a| <= 1, Todd-Coxeter on
-    < x, y | x, y >; otherwise a witness, with the exponents reduced
-    modulo 60 (module docstring).
+    < x, y | x, y >; otherwise a witness in A5, with the exponents reduced
+    modulo 60, which keeps H1 prime to 60 (module docstring).
     """
     h1 = h1_order(t)
     if h1 != 1:
@@ -311,8 +319,9 @@ def classify_triple(t: OpenBookTriple) -> Verdict:
 
     Normalizes by the boundary-relabeling symmetry (sort by magnitude),
     then: H1 != 1 => nontrivial; else, with |a| <= 1, Todd-Coxeter on the
-    cyclic group < x, y | x, y >; else a homomorphism witness into S3, S4
-    or S5; else inconclusive.
+    cyclic group < x, y | x, y >; else a homomorphism witness into A5,
+    the only nontrivial image in S3, S4 or S5 a perfect group can have;
+    else inconclusive.
     """
     norm = t.sorted_by_magnitude()
     verdict, cert = _decide(norm)

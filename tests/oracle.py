@@ -13,7 +13,7 @@ the restart scan (R1 scan, else R2 scan, over the crossings ranked by
 the arc entering their port 0, after every move) as the reference for
 the one-pass move finder of ``Diagram.simplify``, and the all-pairs
 S3-S5 search as the reference for the open-book witness search, which
-tries one x image per cycle type.
+tries only A5, one x image per even cycle type.
 Last, ``pd_code_is_valid`` checks a PD code by trying every orientation
 of its over strands, as the reference for ``Diagram``'s one-pass sign
 inference and its dart-table planarity check.  And ``homfly_hecke``
@@ -270,13 +270,14 @@ def _word_image(word, imgs):
     return acc
 
 
-def nontriviality_witness_all_pairs(p):
-    """A nontrivial map into S3, S4 or S5 as a certificate, or None.
+def nontriviality_witness_all_pairs(p, degrees=(3, 4, 5)):
+    """A nontrivial map into S_n, n in `degrees`, as a certificate, or None.
 
-    Tries every pair of images for x and y, S3 first, and returns the
-    first pair that kills every relator and is not both the identity.
+    Tries every pair of images for x and y, degree by degree in the order
+    given, and returns the first pair that kills every relator and is not
+    both the identity.
     """
-    for deg in (3, 4, 5):
+    for deg in degrees:
         elems = list(permutations(range(deg)))
         inv = {e: _perm_inv(e) for e in elems}
         ident = tuple(range(deg))

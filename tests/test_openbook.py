@@ -1,4 +1,7 @@
-from itertools import product
+import hashlib
+import json
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -101,12 +104,20 @@ def test_abelianization_needs_two_relators():
         abelianization_order(Presentation(((1,),)))
 
 
+def _is_even(perm):
+    return sum(i > j for i, j in combinations(perm, 2)) % 2 == 0
+
+
 def test_nontriviality_witness():
-    w = nontriviality_witness(pi1_presentation(OpenBookTriple(0, 2, 2)))
+    w = nontriviality_witness(pi1_presentation(OpenBookTriple(2, -3, -5)))
     assert w is not None
-    assert (w["method"], w["target"]) == ("homomorphism", "S3")
-    assert sorted(w["image_x"]) == sorted(w["image_y"]) == [0, 1, 2]
+    assert (w["method"], w["target"]) == ("homomorphism", "S5")
+    assert sorted(w["image_x"]) == sorted(w["image_y"]) == [0, 1, 2, 3, 4]
+    assert _is_even(w["image_x"]) and _is_even(w["image_y"])
     assert nontriviality_witness(Presentation(((1,), (2,)))) is None
+    # |H1| = 4, so pi1 maps onto Z/2 inside S3; the A5 search would miss it.
+    with pytest.raises(ValueError, match="prime to 60"):
+        nontriviality_witness(pi1_presentation(OpenBookTriple(0, 2, 2)))
 
 
 def _h1_trivial_triples(bound):
@@ -126,14 +137,32 @@ _WORDS = st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=14)
 _H1_TRIVIAL_TRIPLES = _h1_trivial_triples(8)
 
 
-@given(st.one_of(
-    st.tuples(_WORDS, _WORDS).map(Presentation),
+# The presentations the witness search accepts: |H1| prime to 60.
+_PRIME_TO_60 = st.one_of(
+    st.tuples(_WORDS, _WORDS).map(Presentation).filter(
+        lambda p: gcd(abelianization_order(p), 60) == 1),
     st.sampled_from(_H1_TRIVIAL_TRIPLES).map(
         lambda t: pi1_presentation(OpenBookTriple(*t))),
-))
+)
+
+
+@given(_PRIME_TO_60)
 @settings(max_examples=50, deadline=None)
 def test_witness_matches_all_pairs(p):
     assert nontriviality_witness(p) == nontriviality_witness_all_pairs(p)
+
+
+@given(_PRIME_TO_60)
+@settings(max_examples=50, deadline=None)
+def test_all_pairs_finds_only_a5_when_h1_is_prime_to_60(p):
+    # Why the witness search may skip S3, S4 and the odd permutations of
+    # S5, shown on the library-free all-pairs search: the image of a map
+    # has an abelianization of order dividing |H1| and the group's order,
+    # so it is perfect, and S3 and S4 are solvable while [S5, S5] = A5.
+    assert nontriviality_witness_all_pairs(p, degrees=(3, 4)) is None
+    w = nontriviality_witness_all_pairs(p, degrees=(5,))
+    if w is not None:
+        assert _is_even(w["image_x"]) and _is_even(w["image_y"])
 
 
 def test_todd_coxeter_exhausts_exactly_on_infinite_von_dyck_quotients():
@@ -309,6 +338,14 @@ def test_scan8_certificates():
             assert cert["image_x"] == (1, 2, 3, 4, 0)
             assert cert["image_y"] == (0, 2, 1, 4, 3)
     assert sorted(by_method["exhausted"]) == [(-3, 5, 7), (-2, 3, 7), (2, -3, -7), (3, -5, -7)]
+
+
+def test_pinned_scan12_certificates():
+    # Every verdict and certificate of the |c| <= 12 scan, as JSON text.
+    rows = s3_openbook_report(12)
+    assert len(rows) == 3249
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "1939fa172d313c604c8b8c9aac61f510272535566c28ed28ac93f198dfd03f87")
 
 
 def test_witness_search_on_reduced_exponents():
