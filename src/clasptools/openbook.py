@@ -12,31 +12,28 @@ the triple before any word is built; H1 != 1 proves pi1 nontrivial.
 With |a| <= 1, pi1 is cyclic (a = 0 gives Z/b * Z/c, and a = +-1 writes
 y as a power of x), so H1 = 1 makes it trivial: Todd-Coxeter coset
 enumeration closes < x, y | x, y > to order 1.  Every other triple goes
-to an exhaustive search for a nontrivial map into A5.  There H1 = 1, so
-pi1 is perfect, with no other nontrivial image in S3, S4 or S5: the image
-K of a map into S5 has K/[K, K] of order dividing both |H1| and 120, so
-with |H1| prime to 60, K is perfect: trivial in the solvable S3 and S4,
-and inside [S5, S5] = A5 in S5.  The binary icosahedral groups of
-(2, -3, -5) and (-2, 3, 5) map onto A5 (Coxeter & Moser, *Generators and
-Relations for Discrete Groups*, ch. 4).  When the search finds nothing,
-the verdict is `inconclusive` with `{"method": "exhausted",
-"max_degree": 5}`, never silently converted.
-
-No relator is longer than 90 letters, whatever the exponents: the
-witness search reduces each exponent into [-29, 30], since every element
-of S5 has order dividing 60, so the same pairs kill the relators; the
-determinant ab + bc + ca keeps its residue mod 60, so H1 stays prime to 60.
-
-The search tries one x image per even cycle type and every even y image.
-A pair conjugated by any permutation still kills the relators, so it
-returns the first pair of the all-pairs search (4 x 60 pairs, not 120 x 120).
+to a search for a nontrivial map into PSL(2, p), over the primes
+5 <= p <= _MAX_PRIME, which builds no word.  pi1 maps onto the von Dyck
+group < x, y | x^b, y^c, (xy)^a >, and a hyperbolic one maps onto
+PSL(2, p) for suitable p (Macbeath 1969, *Generators of the linear
+fractional groups*; Coxeter & Moser, *Generators and Relations for
+Discrete Groups*, ch. 4).  The search looks for x and y in SL(2, p) with
+x^b, y^c and (xy)^a all +-I, choosing their traces from a table of the
+order of each trace.  It misses no map into PSL(2, p): with H1 = 1 a
+nontrivial image is perfect, so A5 or PSL(2, p) by Dickson's list of
+subgroups, simple and centreless, and there x^b = y^c = (xy)^-a commutes
+with x and y, so it is 1.  In particular the search finds every map into
+A5 = PSL(2, 5).  The certificate is the action of x and y on the p + 1
+points of the projective line.  When no prime up to the cap has one, the
+verdict is `inconclusive` with `{"method": "exhausted", "max_prime":
+_MAX_PRIME}`, never silently converted.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
-from math import gcd
+from itertools import product
+from math import isqrt
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 Word = Tuple[int, ...]  # signed generator indices: 1 = x, -1 = x^-1, 2 = y, -2 = y^-1
@@ -50,13 +47,6 @@ def free_reduce(word: Sequence[int]) -> Word:
         else:
             out.append(g)
     return tuple(out)
-
-
-def power(word: Sequence[int], n: int) -> Word:
-    if n >= 0:
-        return free_reduce(tuple(word) * n)
-    inv = tuple(-g for g in reversed(word))
-    return free_reduce(inv * (-n))
 
 
 class Presentation(NamedTuple("Presentation", [("relators", Tuple[Word, ...])])):
@@ -78,19 +68,11 @@ class OpenBookTriple(NamedTuple):
         return OpenBookTriple(*s)
 
 
-def pi1_presentation(t: OpenBookTriple) -> Presentation:
-    """< x, y | (xy)^a x^b, (xy)^a y^c > for the twist exponents (a, b, c)."""
-    xy = (1, 2)
-    r1 = free_reduce(power(xy, t.a) + power((1,), t.b))
-    r2 = free_reduce(power(xy, t.a) + power((2,), t.c))
-    return Presentation((r1, r2))
-
-
 def h1_order(t: OpenBookTriple) -> int:
     """Order of H1 of the (a, b, c) open book (0 means infinite).
 
     The relators' exponent sums are (a + b, a) and (a, a + c), so this is
-    ``abelianization_order(pi1_presentation(t))`` in closed form,
+    ``abelianization_order`` of the presentation in closed form,
     |(a + b)(a + c) - a^2| = |ab + bc + ca|, with no word built.
     """
     return abs(t.a * t.b + t.b * t.c + t.c * t.a)
@@ -211,69 +193,67 @@ def todd_coxeter(p: Presentation, max_cosets: int = 20000) -> Optional[int]:
 
 # -- homomorphism witnesses ---------------------------------------------------
 
+# The largest prime p tried for a map into PSL(2, p); certificates name it.
+_MAX_PRIME = 400
+
+
 @lru_cache(maxsize=None)
-def _search_space():
-    """Even permutations of range(5) in order, their inverses, and the x images.
+def _trace_orders(p: int) -> Tuple[int, ...]:
+    """Order in PSL(2, p) of a non-scalar element of SL(2, p), by trace 0..p-1.
 
-    The x images are the even permutations that come first of their cycle
-    type (1^5, 2^2 1, 3 1^2, 5) in `permutations(range(5))` order.
+    Cayley-Hamilton gives M^k = s_k M - s_(k-1) I with s_0 = 0, s_1 = 1 and
+    s_(k+1) = t s_k - s_(k-1), so M^k = +-I first at the first k >= 1 with
+    s_k = 0.
     """
-    elems, inv = [], {}
-    firsts: Dict[Tuple[int, ...], tuple] = {}
-    for e in permutations(range(5)):
-        lengths, seen = [], set()
-        for i in range(5):
-            n = 0
-            while i not in seen:
-                seen.add(i)
-                i = e[i]
-                n += 1
-            if n:
-                lengths.append(n)
-        if len(lengths) % 2 == 0:
-            continue  # odd: k cycles make 5 - k transpositions
-        elems.append(e)
-        inv[e] = tuple(sorted(range(5), key=e.__getitem__))
-        firsts.setdefault(tuple(sorted(lengths)), e)
-    return tuple(elems), inv, tuple(firsts.values())
+    orders = []
+    for t in range(p):
+        k, s_prev, s = 1, 0, 1
+        while s:
+            k, s_prev, s = k + 1, s, (t * s - s_prev) % p
+        orders.append(k)
+    return tuple(orders)
 
 
-def _kills(word: Word, maps: Dict[int, tuple], deg: int) -> bool:
-    """Whether the letters of `word`, applied last letter first, fix every point."""
-    for i in range(deg):
-        j = i
-        for g in reversed(word):
-            j = maps[g][j]
-        if j != i:
-            return False
-    return True
+def _projective_action(m: Tuple[int, int, int, int], p: int) -> Tuple[int, ...]:
+    """The permutation of P^1(F_p) induced by the matrix ((a, b), (c, d)):
+    point i < p is [i : 1] and point p is [1 : 0]."""
+    a, b, c, d = m
+    images = []
+    for u, v in [(i, 1) for i in range(p)] + [(1, 0)]:
+        num, den = (a * u + b * v) % p, (c * u + d * v) % p
+        images.append(num * pow(den, -1, p) % p if den else p)
+    return tuple(images)
 
 
-def nontriviality_witness(p: Presentation) -> Optional[Dict[str, object]]:
-    """A nontrivial map into A5, inside S5, as a certificate, or None.
+def nontriviality_witness(t: OpenBookTriple) -> Optional[Dict[str, object]]:
+    """A nontrivial map into PSL(2, p), 5 <= p <= _MAX_PRIME, or None.
 
-    Complete for maps into S3, S4 and S5 when the order of H1 is prime to
-    60 (module docstring), and raises ValueError otherwise.  Returns the
-    first pair of even images for x and y, in `permutations` order with x
-    outer, that kills every relator and is not both the identity.  Only an
-    x that comes first of its cycle type is tried: conjugating a pair gives
-    another pair with the same property, so the first x with any partner
-    is the first of its conjugacy class, and for that x every even y is
-    tried in order.  A relator dies when every point, chased through its
-    letters last letter first, comes back to itself.
+    For each prime p in turn, t1, t2 and t3 run over the traces whose order
+    divides |b|, |c| and |a|.  x is the companion matrix of t1, never
+    scalar, and y has trace t2, det 1 and tr(xy) = t3: with x = ((0, -1),
+    (1, t1)) and y = ((t2 - d, t3 + g - t1 d), (g, d)), d solves
+    d^2 - (t2 + t1 g) d + g^2 + t3 g + 1 = 0, for the first g whose
+    discriminant is a square.  Then x^b, y^c and (xy)^a are all +-I, so
+    both relators die in PSL(2, p).  The certificate is the action of x
+    and y on the p + 1 points of P^1(F_p).
     """
-    if gcd(abelianization_order(p), 60) != 1:
-        raise ValueError("the A5 search is complete only when |H1| is prime to 60")
-    elems, inv, xs = _search_space()
-    ident = elems[0]
-    for ix in xs:
-        for iy in elems:
-            if ix == ident and iy == ident:
-                continue
-            maps = {1: ix, -1: inv[ix], 2: iy, -2: inv[iy]}
-            if all(_kills(r, maps, 5) for r in p.relators):
-                return {"method": "homomorphism", "target": "S5",
-                        "image_x": ix, "image_y": iy}
+    for p in range(5, _MAX_PRIME + 1):
+        if any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+            continue
+        orders = _trace_orders(p)
+        t1s, t2s, t3s = ([s for s in range(p) if n % orders[s] == 0] for n in (t.b, t.c, t.a))
+        if not (t1s and t2s and t3s):
+            continue
+        roots = {r * r % p: r for r in range(p)}
+        for t1, t2, t3 in product(t1s, t2s, t3s):
+            for g in range(p):
+                u = t2 + t1 * g
+                r = roots.get((u * u - 4 * (g * g + t3 * g + 1)) % p)
+                if r is not None:
+                    d = (u + r) * (p + 1) // 2 % p
+                    return {"method": "homomorphism", "target": f"PSL(2,{p})",
+                            "image_x": _projective_action((0, -1, 1, t1), p),
+                            "image_y": _projective_action((t2 - d, t3 + g - t1 * d, g, d), p)}
     return None
 
 
@@ -297,8 +277,7 @@ def _decide(t: OpenBookTriple) -> Tuple[str, Dict[str, object]]:
     """Verdict and certificate for a normalized triple.
 
     H1 from the triple; with H1 = 1 and |a| <= 1, Todd-Coxeter on
-    < x, y | x, y >; otherwise a witness in A5, with the exponents reduced
-    modulo 60, which keeps H1 prime to 60 (module docstring).
+    < x, y | x, y >; otherwise a witness in PSL(2, p) (module docstring).
     """
     h1 = h1_order(t)
     if h1 != 1:
@@ -307,11 +286,10 @@ def _decide(t: OpenBookTriple) -> Tuple[str, Dict[str, object]]:
         order = todd_coxeter(_CYCLIC_TRIVIAL)
         verdict = "trivial-pi1" if order == 1 else "nontrivial-pi1"
         return verdict, {"method": "todd-coxeter", "group_order": order}
-    reduced = OpenBookTriple(*((n + 29) % 60 - 29 for n in t))
-    witness = nontriviality_witness(pi1_presentation(reduced))
+    witness = nontriviality_witness(t)
     if witness is not None:
         return "nontrivial-pi1", witness
-    return "inconclusive", {"method": "exhausted", "max_degree": 5}
+    return "inconclusive", {"method": "exhausted", "max_prime": _MAX_PRIME}
 
 
 def classify_triple(t: OpenBookTriple) -> Verdict:
@@ -319,9 +297,8 @@ def classify_triple(t: OpenBookTriple) -> Verdict:
 
     Normalizes by the boundary-relabeling symmetry (sort by magnitude),
     then: H1 != 1 => nontrivial; else, with |a| <= 1, Todd-Coxeter on the
-    cyclic group < x, y | x, y >; else a homomorphism witness into A5,
-    the only nontrivial image in S3, S4 or S5 a perfect group can have;
-    else inconclusive.
+    cyclic group < x, y | x, y >; else a homomorphism witness into
+    PSL(2, p) for a prime p <= _MAX_PRIME; else inconclusive.
     """
     norm = t.sorted_by_magnitude()
     verdict, cert = _decide(norm)

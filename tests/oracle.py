@@ -11,9 +11,12 @@ It also keeps the brute-force canonical code, the minimum over every
 relabeling, as the reference for the traversal code in ``Diagram``, and
 the restart scan (R1 scan, else R2 scan, over the crossings ranked by
 the arc entering their port 0, after every move) as the reference for
-the one-pass move finder of ``Diagram.simplify``, and the all-pairs
-S3-S5 search as the reference for the open-book witness search, which
-tries only A5, one x image per even cycle type.
+the one-pass move finder of ``Diagram.simplify``.  For the open-book
+witness search, which builds no word, it keeps the relator words
+(``pi1_presentation``), the all-pairs S3-S5 search, which must find
+nothing in A5 = PSL(2, 5) that the PSL(2, p) search misses, and
+``psl2_order``, the order of a matrix by repeated multiplication, the
+reference for the search's table of orders by trace.
 Last, ``pd_code_is_valid`` checks a PD code by trying every orientation
 of its over strands, as the reference for ``Diagram``'s one-pass sign
 inference and its dart-table planarity check.  And ``homfly_hecke``
@@ -45,6 +48,7 @@ from pathlib import Path
 from clasptools.clasp import TYPE_II, TYPE_X, ClaspParams
 from clasptools.diagram import Diagram, _Builder, _over_in_port, _over_out_port
 from clasptools.laurent import LaurentPoly, UNLINK_FACTOR, extract_p_i
+from clasptools.openbook import OpenBookTriple, Presentation, free_reduce
 
 V2 = LaurentPoly.term(1, ev=2)
 VINV2 = LaurentPoly.term(1, ev=-2)
@@ -251,7 +255,34 @@ def _try_r2(b, j, k, e, f) -> bool:
     return True
 
 
-# -- open-book witnesses: every pair of images ---------------------------------
+# -- open-book witnesses: relator words, every pair of images, matrix orders ----
+
+def power(word, n):
+    if n >= 0:
+        return free_reduce(tuple(word) * n)
+    inv = tuple(-g for g in reversed(word))
+    return free_reduce(inv * (-n))
+
+
+def pi1_presentation(t: OpenBookTriple) -> Presentation:
+    """< x, y | (xy)^a x^b, (xy)^a y^c > for the twist exponents (a, b, c)."""
+    xy = (1, 2)
+    r1 = free_reduce(power(xy, t.a) + power((1,), t.b))
+    r2 = free_reduce(power(xy, t.a) + power((2,), t.c))
+    return Presentation((r1, r2))
+
+
+def psl2_order(m, p):
+    """Order in PSL(2, p) of the matrix m = (a, b, c, d), read row by row,
+    of SL(2, p): the first k >= 1 with m^k = +-I."""
+    a, b, c, d = m
+    acc, k = m, 1
+    while not (acc[1] % p == acc[2] % p == 0 and (acc[0] - acc[3]) % p == 0):
+        w, x, y, z = acc
+        acc = ((w * a + x * c) % p, (w * b + x * d) % p, (y * a + z * c) % p, (y * b + z * d) % p)
+        k += 1
+    return k
+
 
 def _perm_mul(p, q):
     return tuple(p[q[i]] for i in range(len(p)))

@@ -215,6 +215,12 @@ def test_openbook_commands(capsys):
     code, out, _ = run(capsys, "openbook", "--triple=-1,2,3")
     assert code == EXIT_OK
     assert json.loads(out)["verdict"] == "trivial-pi1"
+    # Past the prime cap of the witness search: a clean inconclusive answer.
+    code, out, _ = run(capsys, "openbook", "--triple=7,-11,-19")
+    assert code == EXIT_OK
+    got = json.loads(out)
+    assert (got["verdict"], got["certificate"]) == (
+        "inconclusive", {"method": "exhausted", "max_prime": 400})
     code, out, _ = run(capsys, "openbook", "--scan", "1")
     assert code == EXIT_OK
     rows = json.loads(out)

@@ -1,10 +1,10 @@
 import hashlib
 import json
-from itertools import combinations, product
-from math import gcd
+import time
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clasptools.openbook import (
@@ -15,7 +15,6 @@ from clasptools.openbook import (
     free_reduce,
     h1_order,
     nontriviality_witness,
-    pi1_presentation,
     classified_trivial_set,
     s3_fibered_link_name,
     s3_openbook_report,
@@ -23,7 +22,7 @@ from clasptools.openbook import (
 )
 
 from clasptools import openbook
-from oracle import nontriviality_witness_all_pairs
+from oracle import nontriviality_witness_all_pairs, pi1_presentation, psl2_order
 
 
 def test_pi1_presentation_examples():
@@ -66,10 +65,11 @@ def test_h1_closed_form_matches_the_presentation():
 
 
 def test_h1_needs_no_presentation(monkeypatch):
-    def refuse(t):
-        raise AssertionError(f"built the presentation of {t}")
+    def refuse(*args):
+        raise AssertionError(f"built a word or searched for {args}")
 
-    monkeypatch.setattr(openbook, "pi1_presentation", refuse)
+    for name in ("free_reduce", "todd_coxeter", "nontriviality_witness"):
+        monkeypatch.setattr(openbook, name, refuse)
     v = classify_triple(OpenBookTriple(1, 1, 99999999))
     assert v.verdict == "nontrivial-pi1"
     assert v.certificate == {"method": "abelianization", "h1_order": 199999999}
@@ -104,20 +104,44 @@ def test_abelianization_needs_two_relators():
         abelianization_order(Presentation(((1,),)))
 
 
-def _is_even(perm):
-    return sum(i > j for i, j in combinations(perm, 2)) % 2 == 0
+def _primes(bound):
+    return [p for p in range(2, bound + 1) if all(p % q for q in range(2, p))]
+
+
+def test_trace_orders_match_matrix_powers():
+    # Every non-scalar matrix of SL(2, p), p <= 31, has the order in
+    # PSL(2, p) that the table gives for its trace, by repeated products.
+    count = 0
+    for p in _primes(31):
+        table = openbook._trace_orders(p)
+        assert len(table) == p
+        for a, b, c in product(range(p), repeat=3):
+            if a:
+                ds = [(1 + b * c) * pow(a, -1, p) % p]
+            else:
+                ds = range(p) if (b * c + 1) % p == 0 else []
+            for d in ds:
+                if b == c == 0 and a == d:
+                    continue  # +-I
+                assert psl2_order((a, b, c, d), p) == table[(a + d) % p], (p, a, b, c, d)
+                count += 1
+    assert count == sum(p * (p * p - 1) - (2 if p > 2 else 1) for p in _primes(31))
+
+
+def _is_permutation(images):
+    return sorted(images) == list(range(len(images)))
 
 
 def test_nontriviality_witness():
-    w = nontriviality_witness(pi1_presentation(OpenBookTriple(2, -3, -5)))
-    assert w is not None
-    assert (w["method"], w["target"]) == ("homomorphism", "S5")
-    assert sorted(w["image_x"]) == sorted(w["image_y"]) == [0, 1, 2, 3, 4]
-    assert _is_even(w["image_x"]) and _is_even(w["image_y"])
-    assert nontriviality_witness(Presentation(((1,), (2,)))) is None
-    # |H1| = 4, so pi1 maps onto Z/2 inside S3; the A5 search would miss it.
-    with pytest.raises(ValueError, match="prime to 60"):
-        nontriviality_witness(pi1_presentation(OpenBookTriple(0, 2, 2)))
+    w = nontriviality_witness(OpenBookTriple(2, -3, -5))
+    assert (w["method"], w["target"]) == ("homomorphism", "PSL(2,5)")
+    assert len(w["image_x"]) == len(w["image_y"]) == 6  # the points of P^1(F_5)
+    assert _is_permutation(w["image_x"]) and _is_permutation(w["image_y"])
+    assert w["image_x"] != tuple(range(6))
+    for word in _relator_words(2, -3, -5):
+        assert _perm_value(word, w["image_x"], w["image_y"]) == list(range(6))
+    # Past the prime cap there is no certificate.
+    assert nontriviality_witness(OpenBookTriple(7, -11, -19)) is None
 
 
 def _h1_trivial_triples(bound):
@@ -130,39 +154,68 @@ def _h1_trivial_triples(bound):
     ]
 
 
-_WORDS = st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=14)
+# Every triple with |a| <= |b| <= |c| <= 30, H1 = 1 and |a| >= 2: the
+# triples that reach the witness search.
+_WITNESS_TRIPLES = [
+    (a, b, c)
+    for c in range(-30, 31)
+    for b in range(-abs(c), abs(c) + 1)
+    for a in range(-abs(b), abs(b) + 1)
+    if abs(a) >= 2 and abs(a * b + b * c + c * a) == 1
+]
 
-# Every triple with |a| <= |b| <= |c| <= 8 and H1 = 1: trivial groups and
-# those with no small witness run the whole search, the rest stop early.
-_H1_TRIVIAL_TRIPLES = _h1_trivial_triples(8)
-
-
-# The presentations the witness search accepts: |H1| prime to 60.
-_PRIME_TO_60 = st.one_of(
-    st.tuples(_WORDS, _WORDS).map(Presentation).filter(
-        lambda p: gcd(abelianization_order(p), 60) == 1),
-    st.sampled_from(_H1_TRIVIAL_TRIPLES).map(
-        lambda t: pi1_presentation(OpenBookTriple(*t))),
-)
-
-
-@given(_PRIME_TO_60)
-@settings(max_examples=50, deadline=None)
-def test_witness_matches_all_pairs(p):
-    assert nontriviality_witness(p) == nontriviality_witness_all_pairs(p)
+# The ten that need a prime past the cap: every other one is certified.
+_PAST_THE_CAP = [(s * a, s * b, s * c) for a, b, c in (
+    (7, -11, -19), (8, -11, -29), (9, -17, -19), (11, -19, -26), (13, -23, -30))
+    for s in (1, -1)]
 
 
-@given(_PRIME_TO_60)
-@settings(max_examples=50, deadline=None)
-def test_all_pairs_finds_only_a5_when_h1_is_prime_to_60(p):
-    # Why the witness search may skip S3, S4 and the odd permutations of
-    # S5, shown on the library-free all-pairs search: the image of a map
-    # has an abelianization of order dividing |H1| and the group's order,
-    # so it is perfect, and S3 and S4 are solvable while [S5, S5] = A5.
-    assert nontriviality_witness_all_pairs(p, degrees=(3, 4)) is None
-    w = nontriviality_witness_all_pairs(p, degrees=(5,))
-    if w is not None:
-        assert _is_even(w["image_x"]) and _is_even(w["image_y"])
+def test_certificates_kill_the_unreduced_relators():
+    assert len(_WITNESS_TRIPLES) == 64
+    for t in _WITNESS_TRIPLES:
+        if t in _PAST_THE_CAP:
+            continue
+        v = classify_triple(OpenBookTriple(*t))
+        cert = v.certificate
+        assert v.verdict == "nontrivial-pi1" and cert["method"] == "homomorphism", t
+        x, y = cert["image_x"], cert["image_y"]
+        p = int(cert["target"][len("PSL(2,"):-1])
+        assert 5 <= p <= 239 and len(x) == len(y) == p + 1, t
+        assert _is_permutation(x) and _is_permutation(y) and list(x) != list(range(p + 1)), t
+        for word in _relator_words(*v.normalized):
+            assert _perm_value(word, x, y) == list(range(p + 1)), t
+
+
+@given(st.sampled_from(_WITNESS_TRIPLES))
+@example((2, -3, -5))
+@example((-2, 3, 5))
+@example((3, -5, -8))
+@example((-3, 5, 8))
+@settings(max_examples=10, deadline=None)
+def test_witness_finds_every_a5_map(t):
+    # A5 = PSL(2, 5): the all-pairs search over S5, which shares no code
+    # with the library, finds a map exactly when the PSL(2, p) search
+    # certifies the triple at p = 5, the first prime it tries.
+    w = nontriviality_witness_all_pairs(pi1_presentation(OpenBookTriple(*t)), degrees=(5,))
+    cert = classify_triple(OpenBookTriple(*t)).certificate
+    assert (w is not None) == (cert.get("target") == "PSL(2,5)"), t
+
+
+def test_exhausted_past_the_prime_cap():
+    # No prime p <= 400 has traces of the three orders for these triples;
+    # the search ends, cold, well inside one second (0.13 s measured on a
+    # shared 2-core x86-64 VM).
+    openbook._trace_orders.cache_clear()
+    start = time.perf_counter()
+    classify_triple(OpenBookTriple(7, -11, -19))
+    assert time.perf_counter() - start < 1.0
+    for t in _PAST_THE_CAP:
+        v = classify_triple(OpenBookTriple(*t))
+        assert v.verdict == "inconclusive", t
+        assert v.certificate == {"method": "exhausted", "max_prime": 400}, t
+    assert sorted(_PAST_THE_CAP) == sorted(
+        t for t in _WITNESS_TRIPLES
+        if classify_triple(OpenBookTriple(*t)).verdict == "inconclusive")
 
 
 def test_todd_coxeter_exhausts_exactly_on_infinite_von_dyck_quotients():
@@ -302,12 +355,10 @@ def _perm_value(word, x, y):
 
 def test_scan8_certificates():
     rows = s3_openbook_report(8)
-    by_method = {}
     for r in rows:
         a, b, c = r["triple"]
         norm = sorted(r["triple"], key=lambda t: (abs(t), t))
         cert = r["certificate"]
-        by_method.setdefault(cert["method"], []).append(r["triple"])
         # H1 = Z^2 / [[a+b, a], [a, a+c]] has order |ab + bc + ca|.
         det = abs(a * b + b * c + c * a)
         if cert["method"] == "abelianization":
@@ -325,57 +376,98 @@ def test_scan8_certificates():
                 assert _perm_value(word, x, y) == ident
             assert r["verdict"] == "nontrivial-pi1"
         else:
-            assert cert == {"method": "exhausted", "max_degree": 5}
-            assert r["verdict"] == "inconclusive"
+            raise AssertionError(f"unexpected certificate {cert}")
     trivial = {r["triple"] for r in rows if r["verdict"] == "trivial-pi1"}
     assert trivial == {r["triple"] for r in rows if classified_trivial_set(r["triple"])}
-    assert sorted(by_method["homomorphism"]) == [(-3, 5, 8), (-2, 3, 5), (2, -3, -5), (3, -5, -8)]
-    # The first pair of the search, as the all-pairs search found it.
+    # The A5 search certified the four PSL(2,5) rows (target S5) and left
+    # the other four inconclusive; no other row of the scan changed.
+    targets = {r["triple"]: r["certificate"]["target"] for r in rows
+               if r["certificate"]["method"] == "homomorphism"}
+    assert targets == {(-3, 5, 7): "PSL(2,29)", (-3, 5, 8): "PSL(2,5)",
+                       (-2, 3, 5): "PSL(2,5)", (-2, 3, 7): "PSL(2,7)",
+                       (2, -3, -7): "PSL(2,7)", (2, -3, -5): "PSL(2,5)",
+                       (3, -5, -8): "PSL(2,5)", (3, -5, -7): "PSL(2,29)"}
     for r in rows:
         if r["triple"] in ((-3, 5, 8), (3, -5, -8)):
-            cert = r["certificate"]
-            assert cert["target"] == "S5"
-            assert cert["image_x"] == (1, 2, 3, 4, 0)
-            assert cert["image_y"] == (0, 2, 1, 4, 3)
-    assert sorted(by_method["exhausted"]) == [(-3, 5, 7), (-2, 3, 7), (2, -3, -7), (3, -5, -7)]
+            assert r["certificate"]["image_x"] == (2, 3, 1, 5, 4, 0)
+            assert r["certificate"]["image_y"] == (1, 0, 4, 3, 2, 5)
+
+
+def _sha256(rows):
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+# The rows of the |c| <= 12 scan as the A5 search reported them, where they
+# differ: the only rows with min(|a|, |b|, |c|) >= 2 and H1 = 1.
+_A5_EXHAUSTED = ("inconclusive", {"method": "exhausted", "max_degree": 5})
+_A5_ROWS = {
+    **{t: _A5_EXHAUSTED for t in (
+        (-5, 9, 11), (-4, 7, 9), (-3, 4, 11), (-3, 5, 7), (-2, 3, 7),
+        (2, -3, -7), (3, -5, -7), (3, -4, -11), (4, -7, -9), (5, -9, -11))},
+    **{t: ("nontrivial-pi1", {"method": "homomorphism", "target": "S5",
+                              "image_x": (1, 2, 3, 4, 0), "image_y": (0, 2, 1, 4, 3)})
+       for t in ((-3, 5, 8), (3, -5, -8))},
+    **{t: ("nontrivial-pi1", {"method": "homomorphism", "target": "S5",
+                              "image_x": (0, 1, 3, 4, 2), "image_y": (2, 3, 4, 0, 1)})
+       for t in ((-2, 3, 5), (2, -3, -5))},
+}
 
 
 def test_pinned_scan12_certificates():
     # Every verdict and certificate of the |c| <= 12 scan, as JSON text.
     rows = s3_openbook_report(12)
     assert len(rows) == 3249
-    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+    assert _sha256(rows) == (
+        "dbccc01524a9b17201053e5a9c370c1060f439663e5d3e22511566146252cdb6")
+    assert not [r for r in rows if r["verdict"] == "inconclusive"]
+    # Against the A5 search's report: putting back its 14 rows gives its
+    # pinned text, so no other row changed.  Ten rows went from
+    # inconclusive to nontrivial-pi1, four kept their verdict with a new
+    # certificate.
+    changed = {r["triple"] for r in rows
+               if min(map(abs, r["triple"])) >= 2 and h1_order(OpenBookTriple(*r["triple"])) == 1}
+    assert changed == set(_A5_ROWS)
+    before = [dict(r, verdict=_A5_ROWS[r["triple"]][0], certificate=_A5_ROWS[r["triple"]][1])
+              if r["triple"] in changed else r for r in rows]
+    assert _sha256(before) == (
         "1939fa172d313c604c8b8c9aac61f510272535566c28ed28ac93f198dfd03f87")
+    for r in rows:
+        if r["triple"] in changed:
+            assert r["verdict"] == "nontrivial-pi1"
+            assert r["certificate"]["target"].startswith("PSL(2,")
 
 
-def test_witness_search_on_reduced_exponents():
-    # Exponents reduced into [-29, 30] give the first pair of the
-    # full-word search, found or not.
+def test_witness_search_on_large_exponents():
+    # No exponent is reduced: the search only asks whether a trace's order
+    # divides it.  The last three were certified in A5 before, and stay
+    # certified; no prime up to the cap serves the first.
     for t in ((30, -31, -931), (21, -34, -55), (28, -55, -57), (-32, 63, 65)):
-        norm = OpenBookTriple(*t).sorted_by_magnitude()
-        full = nontriviality_witness(pi1_presentation(norm))
-        expect = full or {"method": "exhausted", "max_degree": 5}
-        assert classify_triple(OpenBookTriple(*t)).certificate == expect, t
-    assert classify_triple(OpenBookTriple(21, -34, -55)).certificate["target"] == "S5"
+        v = classify_triple(OpenBookTriple(*t))
+        if t == (30, -31, -931):
+            assert v.certificate == {"method": "exhausted", "max_prime": 400}
+            continue
+        assert v.certificate["target"] == "PSL(2,5)", t
+        for word in _relator_words(*v.normalized):
+            assert _perm_value(word, v.certificate["image_x"], v.certificate["image_y"]) \
+                == list(range(6)), t
+    v = classify_triple(OpenBookTriple(300, -301, -90301))
+    assert (v.verdict, v.certificate["target"]) == ("nontrivial-pi1", "PSL(2,293)")
 
 
 def test_openbook_words_stay_short(monkeypatch):
-    real_power = openbook.power
+    # The only words the classification builds are the one-letter relators
+    # of < x, y | x, y >, at import: the witness search builds none.
     lengths = []
 
-    def short_power(word, n):
-        assert len(word) * abs(n) <= 90, (word, n)
-        return real_power(word, n)
+    def refuse(*args):
+        raise AssertionError(f"built a word from {args}")
 
-    def recording(fn):
-        def wrapped(p, *args):
-            lengths.extend(map(len, p.relators))
-            return fn(p, *args)
-        return wrapped
+    def recording(p, *args):
+        lengths.extend(map(len, p.relators))
+        return todd_coxeter(p, *args)
 
-    monkeypatch.setattr(openbook, "power", short_power)
-    monkeypatch.setattr(openbook, "todd_coxeter", recording(openbook.todd_coxeter))
-    monkeypatch.setattr(openbook, "nontriviality_witness", recording(openbook.nontriviality_witness))
+    monkeypatch.setattr(openbook, "free_reduce", refuse)
+    monkeypatch.setattr(openbook, "todd_coxeter", recording)
     # (1, -1, n) has |a| = 1, so pi1 is cyclic of order H1 = 1, decided
     # without the n-letter relator.
     v = classify_triple(OpenBookTriple(1, -1, 10**8))
@@ -383,4 +475,4 @@ def test_openbook_words_stay_short(monkeypatch):
     assert v.certificate == {"method": "todd-coxeter", "group_order": 1}
     for t in _SHORT_WORD_TRIPLES[1:]:
         classify_triple(OpenBookTriple(*t))
-    assert lengths and max(lengths) <= 90
+    assert lengths and max(lengths) <= 1

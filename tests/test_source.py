@@ -29,7 +29,7 @@ def _is_cache(decorator):
 def test_process_wide_caches_take_only_ints():
     # A cache decorator keeps its table for the life of the process.  Keyed
     # on ints alone, it can hold only constants of the algebra (a twist's
-    # coefficients, a power of delta, a search space), never a diagram's
+    # coefficients, a power of delta, a table of orders), never a diagram's
     # polynomial or a query's answer, so every query still starts cold.
     cached, found = [], []
     for path in sorted(SRC.glob("*.py")):
@@ -45,7 +45,7 @@ def test_process_wide_caches_take_only_ints():
             params += [a for a in (args.vararg, args.kwarg) if a is not None]
             found += [f"{path.name}:{fn.lineno} {fn.name}({a.arg})" for a in params
                       if not (isinstance(a.annotation, ast.Name) and a.annotation.id == "int")]
-    assert "_search_space" in cached and not found, found
+    assert "_trace_orders" in cached and not found, found
 
 
 def test_trace_targets_exist():
