@@ -6,23 +6,27 @@ T1^a T2^b T3^c, and the resulting closed 3-manifold has
     pi1 = < x, y | (xy)^a x^b, (xy)^a y^c >.
 
 This module decides triviality of that group with one certificate per
-case, on the triple sorted by magnitude.  The order of H1 is
-|ab + bc + ca|, the determinant of the 2x2 exponent-sum matrix, read off
-the triple before any word is built; H1 != 1 proves pi1 nontrivial.
-With |a| <= 1, pi1 is cyclic (a = 0 gives Z/b * Z/c, and a = +-1 writes
-y as a power of x), so H1 = 1 makes it trivial: Todd-Coxeter coset
-enumeration closes < x, y | x, y > to order 1.  Every other triple goes
-to a search for a nontrivial map into PSL(2, p), over the primes
-5 <= p <= _MAX_PRIME, which builds no word.  pi1 maps onto the von Dyck
-group < x, y | x^b, y^c, (xy)^a >, and a hyperbolic one maps onto
-PSL(2, p) for suitable p (Macbeath 1969, *Generators of the linear
-fractional groups*; Coxeter & Moser, *Generators and Relations for
-Discrete Groups*, ch. 4).  The search looks for x and y in SL(2, p) with
-x^b, y^c and (xy)^a all +-I, choosing their traces from a table of the
-order of each trace.  It misses no map into PSL(2, p): with H1 = 1 a
+case, on the triple sorted by magnitude.  Relators are plain tuples of
+unreduced words.  The order of H1 is |ab + bc + ca|, the determinant of
+the 2x2 exponent-sum matrix, read off the triple before any word is
+built; H1 != 1 proves pi1 nontrivial.  With |a| <= 1, pi1 is cyclic
+(a = 0 gives Z/b * Z/c, and a = +-1 writes y as a power of x), so H1 = 1
+makes it trivial: Todd-Coxeter coset enumeration closes < x, y | x, y >
+to order 1.  Every other triple goes to a search for a nontrivial map
+into PSL(2, p), over the primes 5 <= p <= _MAX_PRIME, which builds no
+word.  pi1 maps onto the von Dyck group < x, y | x^b, y^c, (xy)^a >, and
+a hyperbolic one maps onto PSL(2, p) for suitable p (Macbeath 1969,
+*Generators of the linear fractional groups*; Coxeter & Moser,
+*Generators and Relations for Discrete Groups*, ch. 4).  The search
+looks for x and y in SL(2, p) with x^b, y^c and (xy)^a all +-I, choosing
+their traces from a table of the order of each trace.  As the orders of
+non-scalar elements of PSL(2, p) are exactly the divisors >= 2 of p,
+(p - 1)/2 and (p + 1)/2, a prime is tried only when every exponent
+shares a factor with p(p^2 - 1)/4; any other is skipped before its table
+is built.  The search misses no map into PSL(2, p): with H1 = 1 a
 nontrivial image is perfect, so A5 or PSL(2, p) by Dickson's list of
 subgroups, simple and centreless, and there x^b = y^c = (xy)^-a commutes
-with x and y, so it is 1.  In particular the search finds every map into
+with x and y, so it is 1.  In particular it finds every map into
 A5 = PSL(2, 5).  The certificate is the action of x and y on the p + 1
 points of the projective line.  When no prime up to the cap has one, the
 verdict is `inconclusive` with `{"method": "exhausted", "max_prime":
@@ -33,29 +37,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 Word = Tuple[int, ...]  # signed generator indices: 1 = x, -1 = x^-1, 2 = y, -2 = y^-1
-
-
-def free_reduce(word: Sequence[int]) -> Word:
-    out: List[int] = []
-    for g in word:
-        if out and out[-1] == -g:
-            out.pop()
-        else:
-            out.append(g)
-    return tuple(out)
-
-
-class Presentation(NamedTuple("Presentation", [("relators", Tuple[Word, ...])])):
-    """A presentation on x, y with freely reduced relators: a 1-tuple."""
-
-    __slots__ = ()
-
-    def __new__(cls, relators: Sequence[Sequence[int]]):
-        return super().__new__(cls, tuple(free_reduce(r) for r in relators))
 
 
 class OpenBookTriple(NamedTuple):
@@ -78,17 +63,17 @@ def h1_order(t: OpenBookTriple) -> int:
     return abs(t.a * t.b + t.b * t.c + t.c * t.a)
 
 
-def abelianization_order(p: Presentation) -> int:
+def abelianization_order(relators: Sequence[Word]) -> int:
     """Order of H1 (0 means infinite): |det| of the exponent-sum matrix.
 
     H1 is Z^2 modulo the rows (exponent sum of x, of y) of the two
     relators, and a 2x2 integer matrix has a cokernel of order |det|.
     """
-    if len(p.relators) != 2:
+    if len(relators) != 2:
         raise ValueError("H1 as a determinant needs exactly two relators")
     (x1, y1), (x2, y2) = (
         [sum((g > 0) - (g < 0) for g in rel if abs(g) == k) for k in (1, 2)]
-        for rel in p.relators
+        for rel in relators
     )
     return abs(x1 * y2 - x2 * y1)
 
@@ -99,7 +84,7 @@ class CosetTableExhausted(Exception):
     pass
 
 
-def todd_coxeter(p: Presentation, max_cosets: int = 20000) -> Optional[int]:
+def todd_coxeter(relators: Sequence[Word], max_cosets: int = 20000) -> Optional[int]:
     """Order of the presented group, or None when max_cosets is exhausted.
 
     Enumerates cosets of the trivial subgroup with the classic
@@ -115,7 +100,7 @@ def todd_coxeter(p: Presentation, max_cosets: int = 20000) -> Optional[int]:
         raise ValueError(f"max_cosets must be >= 1, got {max_cosets}")
     ngens = 4  # x, X, y, Y columns
     rels = []
-    for rel in p.relators:
+    for rel in relators:
         rels.append(tuple((abs(g) - 1) * 2 + (0 if g > 0 else 1) for g in rel))
 
     def inv(col: int) -> int:
@@ -195,6 +180,8 @@ def todd_coxeter(p: Presentation, max_cosets: int = 20000) -> Optional[int]:
 
 # The largest prime p tried for a map into PSL(2, p); certificates name it.
 _MAX_PRIME = 400
+_PRIMES = tuple(p for p in range(5, _MAX_PRIME + 1)
+                if all(p % q for q in range(2, isqrt(p) + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -228,22 +215,21 @@ def _projective_action(m: Tuple[int, int, int, int], p: int) -> Tuple[int, ...]:
 def nontriviality_witness(t: OpenBookTriple) -> Optional[Dict[str, object]]:
     """A nontrivial map into PSL(2, p), 5 <= p <= _MAX_PRIME, or None.
 
-    For each prime p in turn, t1, t2 and t3 run over the traces whose order
-    divides |b|, |c| and |a|.  x is the companion matrix of t1, never
-    scalar, and y has trace t2, det 1 and tr(xy) = t3: with x = ((0, -1),
-    (1, t1)) and y = ((t2 - d, t3 + g - t1 d), (g, d)), d solves
+    For each prime p that is not skipped (module docstring), t1, t2 and
+    t3 run over the traces whose order divides |b|, |c| and |a|.  x is
+    the companion matrix of t1, never scalar, and y has trace t2, det 1
+    and tr(xy) = t3: with x = ((0, -1), (1, t1)) and
+    y = ((t2 - d, t3 + g - t1 d), (g, d)), d solves
     d^2 - (t2 + t1 g) d + g^2 + t3 g + 1 = 0, for the first g whose
     discriminant is a square.  Then x^b, y^c and (xy)^a are all +-I, so
     both relators die in PSL(2, p).  The certificate is the action of x
     and y on the p + 1 points of P^1(F_p).
     """
-    for p in range(5, _MAX_PRIME + 1):
-        if any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+    for p in _PRIMES:
+        if any(gcd(n, p * (p * p - 1) // 4) == 1 for n in t):
             continue
         orders = _trace_orders(p)
         t1s, t2s, t3s = ([s for s in range(p) if n % orders[s] == 0] for n in (t.b, t.c, t.a))
-        if not (t1s and t2s and t3s):
-            continue
         roots = {r * r % p: r for r in range(p)}
         for t1, t2, t3 in product(t1s, t2s, t3s):
             for g in range(p):
@@ -270,22 +256,17 @@ class Verdict(NamedTuple):
 
 
 # pi1 of a triple with |a| <= 1 and H1 = 1: cyclic of order 1.
-_CYCLIC_TRIVIAL = Presentation(((1,), (2,)))
+_CYCLIC_TRIVIAL = ((1,), (2,))
 
 
 def _decide(t: OpenBookTriple) -> Tuple[str, Dict[str, object]]:
-    """Verdict and certificate for a normalized triple.
-
-    H1 from the triple; with H1 = 1 and |a| <= 1, Todd-Coxeter on
-    < x, y | x, y >; otherwise a witness in PSL(2, p) (module docstring).
-    """
+    """Verdict and certificate for a normalized triple (see classify_triple)."""
     h1 = h1_order(t)
     if h1 != 1:
         return "nontrivial-pi1", {"method": "abelianization", "h1_order": h1}
     if abs(t.a) <= 1:
         order = todd_coxeter(_CYCLIC_TRIVIAL)
-        verdict = "trivial-pi1" if order == 1 else "nontrivial-pi1"
-        return verdict, {"method": "todd-coxeter", "group_order": order}
+        return "trivial-pi1", {"method": "todd-coxeter", "group_order": order}
     witness = nontriviality_witness(t)
     if witness is not None:
         return "nontrivial-pi1", witness

@@ -13,8 +13,9 @@ the restart scan (R1 scan, else R2 scan, over the crossings ranked by
 the arc entering their port 0, after every move) as the reference for
 the one-pass move finder of ``Diagram.simplify``.  For the open-book
 witness search, which builds no word, it keeps the relator words
-(``pi1_presentation``), the all-pairs S3-S5 search, which must find
-nothing in A5 = PSL(2, 5) that the PSL(2, p) search misses, and
+(``pi1_presentation``, freely reduced by its own ``free_reduce``; the
+library passes relators unreduced), the all-pairs S3-S5 search, which
+must find nothing in A5 = PSL(2, 5) that the PSL(2, p) search misses, and
 ``psl2_order``, the order of a matrix by repeated multiplication, the
 reference for the search's table of orders by trace.
 Last, ``pd_code_is_valid`` checks a PD code by trying every orientation
@@ -48,7 +49,7 @@ from pathlib import Path
 from clasptools.clasp import TYPE_II, TYPE_X, ClaspParams
 from clasptools.diagram import Diagram, _Builder, _over_in_port, _over_out_port
 from clasptools.laurent import LaurentPoly, UNLINK_FACTOR, extract_p_i
-from clasptools.openbook import OpenBookTriple, Presentation, free_reduce
+from clasptools.openbook import OpenBookTriple
 
 V2 = LaurentPoly.term(1, ev=2)
 VINV2 = LaurentPoly.term(1, ev=-2)
@@ -257,6 +258,17 @@ def _try_r2(b, j, k, e, f) -> bool:
 
 # -- open-book witnesses: relator words, every pair of images, matrix orders ----
 
+def free_reduce(word):
+    """The word with every adjacent letter-inverse pair cancelled."""
+    out = []
+    for g in word:
+        if out and out[-1] == -g:
+            out.pop()
+        else:
+            out.append(g)
+    return tuple(out)
+
+
 def power(word, n):
     if n >= 0:
         return free_reduce(tuple(word) * n)
@@ -264,12 +276,13 @@ def power(word, n):
     return free_reduce(inv * (-n))
 
 
-def pi1_presentation(t: OpenBookTriple) -> Presentation:
-    """< x, y | (xy)^a x^b, (xy)^a y^c > for the twist exponents (a, b, c)."""
+def pi1_presentation(t: OpenBookTriple):
+    """< x, y | (xy)^a x^b, (xy)^a y^c > for the twist exponents (a, b, c),
+    as a tuple of the two freely reduced relators."""
     xy = (1, 2)
     r1 = free_reduce(power(xy, t.a) + power((1,), t.b))
     r2 = free_reduce(power(xy, t.a) + power((2,), t.c))
-    return Presentation((r1, r2))
+    return r1, r2
 
 
 def psl2_order(m, p):
@@ -301,7 +314,7 @@ def _word_image(word, imgs):
     return acc
 
 
-def nontriviality_witness_all_pairs(p, degrees=(3, 4, 5)):
+def nontriviality_witness_all_pairs(relators, degrees=(3, 4, 5)):
     """A nontrivial map into S_n, n in `degrees`, as a certificate, or None.
 
     Tries every pair of images for x and y, degree by degree in the order
@@ -317,7 +330,7 @@ def nontriviality_witness_all_pairs(p, degrees=(3, 4, 5)):
                 if ix == ident and iy == ident:
                     continue
                 imgs = {1: ix, -1: inv[ix], 2: iy, -2: inv[iy]}
-                if all(_word_image(r, imgs) == ident for r in p.relators):
+                if all(_word_image(r, imgs) == ident for r in relators):
                     return {"method": "homomorphism", "target": f"S{deg}",
                             "image_x": ix, "image_y": iy}
     return None

@@ -16,7 +16,7 @@ from clasptools.clasp import (
     typeX_sum_of_squares_search,
 )
 from clasptools.laurent import LaurentPoly
-from oracle import P, enumerate_params_scan
+from oracle import P, _bench_check, enumerate_params_scan
 
 signs = st.sampled_from([1, -1])
 small = st.integers(min_value=-6, max_value=6)
@@ -198,6 +198,17 @@ def test_sum_of_squares_examples():
     # decided before the first node.
     r = typeX_sum_of_squares_search(P("1*v^4 + 1*v^6 + -1*v^8"), 1, 1, 3, 8, node_cap=0)
     assert (r.status, r.reason) == ("inconclusive", "no witness within bounds")
+
+
+def test_sum_of_squares_refutes_an_odd_quotient():
+    # p0 - v^4 = v^-1 - v = (v^-2 - 1) v: the division is exact, but the
+    # quotient v has an odd exponent, which no eps1 f1^2 + eps2 f2^2 has.
+    text = "1*v^-1 + -1*v + 1*v^4"
+    r = typeX_sum_of_squares_search(P(text), 1, 1)
+    assert (r.status, r.reason) == (
+        "refuted", "quotient has odd v-exponents, never a sum of two squares")
+    check = _bench_check()
+    assert check.refutation_is_valid(check.parse_poly(text), 1, 1)
 
 
 def test_sum_of_squares_rejects_negative_bounds():

@@ -81,6 +81,9 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "--exceptional", str(missing), "catalog")
     assert code == EXIT_ERROR and out == ""
     assert err == f"error: exceptional file not found: {missing}\n"
+    code, out, err = run(capsys, "--census", str(missing), "invariants", "3_1")
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"error: census file not found: {missing}\n"
     for triple in ("1,2", "1,2,3,4", "a,b,c"):
         code, out, err = run(capsys, "openbook", f"--triple={triple}")
         assert code == EXIT_ERROR and out == ""
@@ -122,6 +125,20 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr("clasptools.cli.load_census", broken)
     with pytest.raises(KeyError, match="internal"):
         main(["invariants", "3_1"])
+
+
+def test_corollary12_report(capsys, monkeypatch):
+    # The report path, on shipped census knots in place of the five
+    # targets: 6_2 is itself a catalog diagram, so its row cannot pass.
+    monkeypatch.setattr("clasptools.cli.COROLLARY12_NAMES", ("6_2", "3_1"))
+    code, out, err = run(capsys, "corollary12")
+    assert code == EXIT_OK and err == ""
+    report = json.loads(out)
+    assert report["certification_scope"].endswith(
+        "against 108 catalog diagrams (12 exceptional entries lack diagrams)")
+    assert [k["name"] for k in report["knots"]] == ["6_2", "3_1"]
+    row = report["knots"][0]
+    assert "6_2" in row["catalog_matches"] and row["verdict"] == "INCONSISTENT"
 
 
 def test_clasp_obstruct(capsys):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import time
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,10 +10,8 @@ from hypothesis import strategies as st
 
 from clasptools.openbook import (
     OpenBookTriple,
-    Presentation,
     abelianization_order,
     classify_triple,
-    free_reduce,
     h1_order,
     nontriviality_witness,
     classified_trivial_set,
@@ -22,21 +21,21 @@ from clasptools.openbook import (
 )
 
 from clasptools import openbook
-from oracle import nontriviality_witness_all_pairs, pi1_presentation, psl2_order
+from oracle import free_reduce, nontriviality_witness_all_pairs, pi1_presentation, psl2_order
 
 
 def test_pi1_presentation_examples():
-    assert pi1_presentation(OpenBookTriple(0, 1, 1)).relators == ((1,), (2,))
+    assert pi1_presentation(OpenBookTriple(0, 1, 1)) == ((1,), (2,))
     p = pi1_presentation(OpenBookTriple(-1, 2, 3))
-    assert p.relators == ((-2, 1), (-2, -1, 2, 2, 2))
-    assert pi1_presentation(OpenBookTriple(0, 0, 0)).relators == ((), ())
+    assert p == ((-2, 1), (-2, -1, 2, 2, 2))
+    assert pi1_presentation(OpenBookTriple(0, 0, 0)) == ((), ())
 
 
 def test_free_reduction():
+    # The oracle's reduction behind pi1_presentation.
     assert free_reduce((1, -1)) == ()
     assert free_reduce((1, 2, -2, -1, 1)) == (1,)
-    p = Presentation(((1, 2, -2, 1),))
-    assert p.relators == ((1, 1),)
+    assert free_reduce((1, 2, -2, 1)) == (1, 1)
 
 
 def test_abelianization_order():
@@ -66,9 +65,9 @@ def test_h1_closed_form_matches_the_presentation():
 
 def test_h1_needs_no_presentation(monkeypatch):
     def refuse(*args):
-        raise AssertionError(f"built a word or searched for {args}")
+        raise AssertionError(f"ran a group algorithm on {args}")
 
-    for name in ("free_reduce", "todd_coxeter", "nontriviality_witness"):
+    for name in ("todd_coxeter", "nontriviality_witness"):
         monkeypatch.setattr(openbook, name, refuse)
     v = classify_triple(OpenBookTriple(1, 1, 99999999))
     assert v.verdict == "nontrivial-pi1"
@@ -76,11 +75,11 @@ def test_h1_needs_no_presentation(monkeypatch):
 
 
 def test_todd_coxeter_examples():
-    assert todd_coxeter(Presentation(((1,), (2,)))) == 1
+    assert todd_coxeter(((1,), (2,))) == 1
     assert todd_coxeter(pi1_presentation(OpenBookTriple(0, 1, 1))) == 1
     assert todd_coxeter(pi1_presentation(OpenBookTriple(-1, 1, 5))) == 1
     # Symmetric group S3 = <x,y | x^2, y^3, (xy)^2>.
-    s3 = Presentation(((1, 1), (2, 2, 2), (1, 2, 1, 2)))
+    s3 = ((1, 1), (2, 2, 2), (1, 2, 1, 2))
     assert todd_coxeter(s3) == 6
     # Binary icosahedral group from the (2,-3,-5) triple.
     assert todd_coxeter(pi1_presentation(OpenBookTriple(2, -3, -5))) == 120
@@ -90,18 +89,16 @@ def test_todd_coxeter_examples():
 
 def test_todd_coxeter_invariance():
     p = pi1_presentation(OpenBookTriple(-1, 2, 3))
-    swapped = Presentation(tuple(reversed(p.relators)))
-    renamed = Presentation(
-        tuple(tuple((3 - abs(g)) * (1 if g > 0 else -1) for g in r) for r in p.relators)
-    )
+    swapped = tuple(reversed(p))
+    renamed = tuple(tuple((3 - abs(g)) * (1 if g > 0 else -1) for g in r) for r in p)
     assert todd_coxeter(p) == todd_coxeter(swapped) == todd_coxeter(renamed)
 
 
 def test_abelianization_needs_two_relators():
     with pytest.raises(ValueError):
-        abelianization_order(Presentation(((1, 1), (2, 2, 2), (1, 2, 1, 2))))
+        abelianization_order(((1, 1), (2, 2, 2), (1, 2, 1, 2)))
     with pytest.raises(ValueError):
-        abelianization_order(Presentation(((1,),)))
+        abelianization_order(((1,),))
 
 
 def _primes(bound):
@@ -203,8 +200,9 @@ def test_witness_finds_every_a5_map(t):
 
 def test_exhausted_past_the_prime_cap():
     # No prime p <= 400 has traces of the three orders for these triples;
-    # the search ends, cold, well inside one second (0.13 s measured on a
-    # shared 2-core x86-64 VM).
+    # the search ends, cold, well inside one second (0.1 ms measured on a
+    # shared 2-core x86-64 VM: no prime passes the divisibility test, so
+    # no table is built).
     openbook._trace_orders.cache_clear()
     start = time.perf_counter()
     classify_triple(OpenBookTriple(7, -11, -19))
@@ -216,6 +214,46 @@ def test_exhausted_past_the_prime_cap():
     assert sorted(_PAST_THE_CAP) == sorted(
         t for t in _WITNESS_TRIPLES
         if classify_triple(OpenBookTriple(*t)).verdict == "inconclusive")
+
+
+def _can_serve(p, t):
+    # Each exponent shares a factor with p(p^2 - 1)/4, the product of the
+    # maximal element orders p, (p - 1)/2 and (p + 1)/2 of PSL(2, p).
+    return all(gcd(n, p * (p * p - 1) // 4) != 1 for n in t)
+
+
+def test_divisibility_test_is_exactly_a_nonempty_trace_list():
+    # Some trace has an order dividing n exactly when n shares a factor
+    # with p(p^2 - 1)/4, so a prime that fails the test has an empty list.
+    primes = [p for p in _primes(400) if p >= 5]
+    assert openbook._PRIMES == tuple(primes)
+    for p in primes:
+        orders = set(openbook._trace_orders(p))
+        for n in range(-300, 1001):
+            assert any(n % k == 0 for k in orders) == _can_serve(p, (n,)), (p, n)
+
+
+def test_trace_tables_only_for_primes_that_can_serve(monkeypatch):
+    built = []
+    real = openbook._trace_orders
+
+    def recording(p):
+        built.append(p)
+        return real(p)
+
+    monkeypatch.setattr(openbook, "_trace_orders", recording)
+    # Past the cap with no table built at all.
+    for t in ((30, -31, -931), (3000, -3001, -9003001)):
+        v = classify_triple(OpenBookTriple(*t))
+        assert v.certificate == {"method": "exhausted", "max_prime": 400}, t
+    assert built == []
+    # Otherwise a table for exactly the primes that pass the test, up to
+    # the one that certifies the triple, or up to the cap.
+    for t in _WITNESS_TRIPLES:
+        built.clear()
+        cert = classify_triple(OpenBookTriple(*t)).certificate
+        last = int(cert["target"][len("PSL(2,"):-1]) if "target" in cert else 400
+        assert built == [p for p in openbook._PRIMES if p <= last and _can_serve(p, t)], t
 
 
 def test_todd_coxeter_exhausts_exactly_on_infinite_von_dyck_quotients():
@@ -246,7 +284,7 @@ def test_max_cosets_must_be_positive():
 def test_coset_budget_counts_labels():
     # A label is never reused after a merge, so the trivial group on
     # < x, y | x, y > needs three.
-    p = Presentation(((1,), (2,)))
+    p = ((1,), (2,))
     assert todd_coxeter(p, 2) is None
     assert todd_coxeter(p, 3) == 1
 
@@ -285,7 +323,7 @@ def test_classify_runs_todd_coxeter_only_on_the_cyclic_presentation(monkeypatch)
             for word in _relator_words(*v.normalized):
                 assert _perm_value(word, x, y) == list(range(len(x))), t
     assert all(args == () and kwargs == {} for _, args, kwargs in calls)
-    assert {p for p, _, _ in calls} == {Presentation(((1,), (2,)))}
+    assert {p for p, _, _ in calls} == {((1,), (2,))}
 
 
 def test_classify_examples():
@@ -459,14 +497,10 @@ def test_openbook_words_stay_short(monkeypatch):
     # of < x, y | x, y >, at import: the witness search builds none.
     lengths = []
 
-    def refuse(*args):
-        raise AssertionError(f"built a word from {args}")
+    def recording(relators, *args):
+        lengths.extend(map(len, relators))
+        return todd_coxeter(relators, *args)
 
-    def recording(p, *args):
-        lengths.extend(map(len, p.relators))
-        return todd_coxeter(p, *args)
-
-    monkeypatch.setattr(openbook, "free_reduce", refuse)
     monkeypatch.setattr(openbook, "todd_coxeter", recording)
     # (1, -1, n) has |a| = 1, so pi1 is cyclic of order H1 = 1, decided
     # without the n-letter relator.

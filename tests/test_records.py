@@ -8,7 +8,7 @@ from clasptools.census import ExceptionalKnot
 from clasptools.clasp import ClaspParams, SquareSearchResult, enumerate_params
 from clasptools.diagram import parse_pd
 from clasptools.laurent import LaurentPoly
-from clasptools.openbook import OpenBookTriple, Presentation, Verdict
+from clasptools.openbook import OpenBookTriple, Verdict
 from clasptools.tangle import CatalogEntry, ExtendedRational, MontesinosDesc
 
 TREFOIL = parse_pd("PD[X[1,5,2,4],X[3,1,4,6],X[5,3,6,2]]")
@@ -28,9 +28,6 @@ RECORDS = [
     (SquareSearchResult("found", "", LaurentPoly.term(1, ev=2)),
      "SquareSearchResult(status='found', reason='', f1=LaurentPoly('1*v^2'), f2=None)",
      ("status", "reason", "f1", "f2")),
-    (Presentation(((1, 2, -2, 1), (2,))),
-     "Presentation(relators=((1, 1), (2,)))",
-     ("relators",)),
     (OpenBookTriple(2, 3, 7), "OpenBookTriple(a=2, b=3, c=7)", ("a", "b", "c")),
     (Verdict((7, 3, 2), (2, 3, 7), "nontrivial-pi1", {"method": "abelianization"}),
      "Verdict(triple=(7, 3, 2), normalized=(2, 3, 7), verdict='nontrivial-pi1', "
@@ -83,12 +80,6 @@ def test_extended_rational_normal_form():
     assert [str(r) for r in rs] == ["inf", "2", "-1/2"]
     assert f"{ExtendedRational(2, 6)}" == "1/3"
     assert str(MontesinosDesc.of(ExtendedRational(1, 0), "-2/4", 3)) == "K(inf,-1/2,3)"
-
-
-def test_presentation_reduces_its_relators():
-    p = Presentation([(1, 2, -2, -1, 1), (2, -2), (-1, 1, 2)])
-    assert p.relators == ((1,), (), (2,))
-    assert p == Presentation(((1,), (), (2,)))
 
 
 def test_enumerate_params_is_sorted_by_fields():
