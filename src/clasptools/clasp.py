@@ -203,7 +203,7 @@ def _unlink_quotient(p: LaurentPoly) -> Optional[LaurentPoly]:
     p_e = q_(e+2) - q_e, so from the top exponent down q_e is minus the
     running sum of p's coefficients of e's parity; the division is exact
     iff both sums end at 0 (p vanishes at v = 1 and v = -1)."""
-    if p.is_zero():
+    if not p:
         return p
     sums = [0, 0]
     q = {}
@@ -261,7 +261,7 @@ class _SquareSearcher:
                 self.exhausted_cap = True
                 return None
             if E < -2 * D:
-                if r.is_zero():
+                if not r:
                     return st0[0], st1[0]
                 continue
             c = r.coefficient(E, 0)

@@ -132,19 +132,8 @@ class Diagram:
         return len(self.crossings)
 
     @property
-    def num_edges(self) -> int:
-        return 2 * len(self.crossings)
-
-    @property
     def num_components(self) -> int:
         return len(self.components) + self.free_loops
-
-    def incoming_at(self, edge: int) -> Tuple[int, int]:
-        """(crossing index, port) where the edge terminates."""
-        return self._head[edge]
-
-    def is_knot(self) -> bool:
-        return self.num_components == 1
 
     # -- moves ---------------------------------------------------------
 
@@ -173,14 +162,14 @@ class Diagram:
 
     def connected_sum(self, other: "Diagram") -> "Diagram":
         """Connected sum of two knots, joined along their lowest-label edges."""
-        if not self.is_knot() or not other.is_knot():
+        if self.num_components != 1 or other.num_components != 1:
             raise DiagramError("connected sum is defined for knots only")
         if self.num_crossings == 0:
             return other
         if other.num_crossings == 0:
             return self
         b = _Builder.from_diagram(self.disjoint_union(other))
-        b.cross_join(1, self.num_edges + 1)
+        b.cross_join(1, 2 * len(self.crossings) + 1)
         return b.to_diagram()
 
     def disjoint_union(self, other: "Diagram") -> "Diagram":
@@ -188,7 +177,7 @@ class Diagram:
 
         Other's labels are shifted past self's, so self keeps its labels.
         """
-        shift = self.num_edges
+        shift = 2 * len(self.crossings)
         quads = self.crossings + tuple(tuple(e + shift for e in q) for q in other.crossings)
         return Diagram._trusted(quads, self.signs + other.signs, self.free_loops + other.free_loops)
 

@@ -59,12 +59,6 @@ class LaurentPoly:
         """The stored coefficient of v^ev * z^ez, or 0."""
         return self._terms.get((ev, ez), 0)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __len__(self) -> int:
         return len(self._terms)
 

@@ -306,14 +306,6 @@ def classified_trivial_set(triple: Tuple[int, int, int]) -> bool:
     return _trivial_link_name(triple) is not None
 
 
-def s3_fibered_link_name(triple: Tuple[int, int, int]) -> str:
-    """Fibered link realizing a trivial triple, per the case analysis."""
-    name = _trivial_link_name(triple)
-    if name is None:
-        raise ValueError(f"{triple} is not in the trivial list")
-    return name
-
-
 def s3_openbook_report(bound: int) -> List[dict]:
     """Classify all |a| <= |b| <= |c| <= bound and name the trivial bindings.
 
@@ -334,6 +326,6 @@ def s3_openbook_report(bound: int) -> List[dict]:
                     "certificate": v.certificate,
                 }
                 if v.verdict == "trivial-pi1":
-                    row["fibered_link"] = s3_fibered_link_name((a, b, c))
+                    row["fibered_link"] = _trivial_link_name((a, b, c))
                 rows.append(row)
     return rows

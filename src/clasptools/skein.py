@@ -72,7 +72,7 @@ class SkeinEngine:
             return self._homfly(d)
         if d.num_components == 0:
             raise ValueError("empty diagram has no invariants")
-        return UNLINK_FACTOR ** (d.num_components - 1)
+        return _unlink_power(d.num_components - 1)
 
     def conway(self, d: Diagram) -> LaurentPoly:
         """Conway polynomial, the HOMFLY polynomial at v = 1; 0 for split links."""
@@ -167,7 +167,7 @@ def _descending_violation(d: Diagram) -> Tuple[int, Optional[int]]:
     seen = set()
     for i, comp in enumerate(d.components):
         for e in comp:
-            k, port = d.incoming_at(e)
+            k, port = d._head[e]
             if k not in seen:
                 if port == 0:
                     return i, k

@@ -176,15 +176,6 @@ class Tangle:
         self.pair[x] = y
         self.pair[y] = x
 
-    def copy(self) -> "Tangle":
-        t = Tangle()
-        t.num_crossings = self.num_crossings
-        t.pair = dict(self.pair)
-        t.boundary = dict(self.boundary)
-        t.loops = self.loops
-        t._next_end = self._next_end
-        return t
-
     def _absorb(self, other: "Tangle") -> Dict[str, End]:
         """Add a disjoint copy of other; returns its boundary-end map."""
         doff = 4 * self.num_crossings
@@ -248,7 +239,8 @@ def _glue(a: Tangle, b: Optional[Tangle], side: str) -> Tangle:
     With b None, a's own ends stand in for b's: side E then gives the
     numerator closure.
     """
-    out = a.copy()
+    out = Tangle()
+    out.boundary = out._absorb(a)
     far = out.boundary if b is None else out._absorb(b)
     for x, y in _GLUE[side]:
         out._connect(out.boundary[x], far[y])
@@ -264,14 +256,21 @@ def tangle_sum(a: Tangle, b: Tangle) -> Tangle:
 
 
 def _twists(n: int, side: str, empty) -> Tangle:
-    """|n| crossings glued in a line toward ``side``; ``empty`` pairs at n = 0."""
+    """|n| crossings in a line toward ``side``; ``empty`` pairs at n = 0.
+
+    As if each crossing were glued onto ``side`` of the last: for each
+    ``_GLUE[side]`` pair, crossing c's slot at the a end joins crossing
+    c + 1's slot at the b end.  The a ends are the last crossing's, the
+    other compass ends the first's.
+    """
     if n == 0:
         return _tangle(empty)
-    cross = _tangle(_SLOTS["A" if n > 0 else "B"].items(), 1)
-    t = cross
-    for _ in range(abs(n) - 1):
-        t = _glue(t, cross, side)
-    return t
+    slots, m = _SLOTS["A" if n > 0 else "B"], abs(n)
+    last = {x: 4 * (m - 1) for x, _ in _GLUE[side]}  # dart offset per compass end
+    pairs = [(tag, s + last.get(tag, 0)) for tag, s in slots.items()]
+    pairs += [(4 * c + slots[x], 4 * c + 4 + slots[y])
+              for c in range(m - 1) for x, y in _GLUE[side]]
+    return _tangle(pairs, m)
 
 
 def horizontal_twists(n: int) -> Tangle:
@@ -333,7 +332,8 @@ def insert_clasp(t: Tangle, dart_a: End, dart_b: End, sign: int) -> Tangle:
         raise ValueError("clasp sign must be +1 or -1")
     if not any(dart_a in f and dart_b in f for f in tangle_faces(t)):
         raise ValueError("clasp darts must lie on one face")
-    out = t.copy()
+    out = Tangle()
+    out._absorb(t)
     a1, a2 = dart_a, out.pair[dart_a]
     b1, b2 = dart_b, out.pair[dart_b]
     if {a1, a2} == {b1, b2}:

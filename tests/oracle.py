@@ -77,8 +77,8 @@ def P(text):
 def _first_over_violation(d: Diagram):
     """First crossing met on its over strand, walking edges in label order."""
     seen = set()
-    for e in range(1, d.num_edges + 1):
-        k, port = d.incoming_at(e)
+    for e in range(1, 2 * d.num_crossings + 1):
+        k, port = d._head[e]
         if k in seen:
             continue
         seen.add(k)
@@ -130,7 +130,7 @@ def canonical_code_bruteforce(d: Diagram) -> str:
     if not comps:
         return f"|U{d.free_loops}"
     best = None
-    mapping = [0] * (d.num_edges + 1)
+    mapping = [0] * (2 * d.num_crossings + 1)
     for order in permutations(range(len(comps))):
         for rots in product(*(range(len(comps[ci])) for ci in order)):
             nxt = 1
@@ -548,7 +548,7 @@ def alexander_polynomial(d: Diagram):
     """
     if d.num_crossings == 0:
         return (1,) if d.num_components == 1 else ()
-    arc = {e: e for e in range(1, d.num_edges + 1)}
+    arc = {e: e for e in range(1, 2 * d.num_crossings + 1)}
 
     def find(e):
         while arc[e] != e:

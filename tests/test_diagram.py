@@ -36,6 +36,7 @@ def test_parse_trefoil():
     assert d.signs == (1, 1, 1)
     assert d.num_components == 1
     assert sum(d.signs) == 3
+    assert (d == TREFOIL) is False
 
 
 def test_parse_unknot_and_loops():
@@ -158,7 +159,7 @@ def test_split_over_component_orientation_rule():
     # direction open.  Edge 1, the lower label, enters the first crossing
     # (at its over-in port).
     d = parse_pd("PD[X[4,2,3,1],X[3,2,4,1]]")
-    assert d.signs == (-1, 1) and d.incoming_at(1) == (0, 3)
+    assert d.signs == (-1, 1) and d._head[1] == (0, 3)
     assert d.components == ((1, 2), (3, 4))
     reversed_reading = Diagram._trusted(d.crossings, (1, -1), 0)
     assert parse_pd(reversed_reading.pd_text()) == d
@@ -211,7 +212,8 @@ def test_connected_sum_and_mirror():
     f8 = parse_pd(FIG8)
     assert t.connected_sum(f8).num_components == 1
     assert t.mirror().mirror().canonical_code() == t.canonical_code()
-    assert t.connected_sum(Diagram.unknot()).canonical_code() == t.canonical_code()
+    assert t.connected_sum(Diagram.unknot()) is t
+    assert Diagram.unknot().connected_sum(t) is t
     with pytest.raises(DiagramError):
         parse_pd(HOPF_POS).connected_sum(t)
 

@@ -9,7 +9,8 @@ from clasptools.diagram import Diagram, DiagramError, parse_pd
 from clasptools.laurent import UNLINK_FACTOR, LaurentPoly, extract_p_i
 from clasptools.openbook import s3_openbook_report
 from clasptools.skein import SkeinEngine
-from clasptools.tangle import ExtendedRational, MontesinosDesc, theorem1_catalog
+from clasptools.tangle import (ExtendedRational, MontesinosDesc, closure_tangle,
+                               horizontal_twists, insert_clasp, theorem1_catalog)
 
 TREFOIL = "PD[X[1,5,2,4],X[3,1,4,6],X[5,3,6,2]]"
 V4 = LaurentPoly.term(1, ev=4)
@@ -65,6 +66,8 @@ CASES = [
      ValueError, "expected three comma-separated fractions"),
     ("catalog-negative-bound", lambda tmp: theorem1_catalog(-1, load_census(), []),
      ValueError, "n_bound must be nonnegative"),
+    ("clasp-one-arc", lambda tmp: insert_clasp(closure_tangle(horizontal_twists(2)), 0, 0, 1),
+     ValueError, "clasp needs two distinct arcs"),
 ]
 
 

@@ -15,7 +15,6 @@ from clasptools.openbook import (
     h1_order,
     nontriviality_witness,
     classified_trivial_set,
-    s3_fibered_link_name,
     s3_openbook_report,
     todd_coxeter,
 )
@@ -370,8 +369,6 @@ def test_proposition_set_predicate():
     assert classified_trivial_set((-1, 2, 3))
     assert not classified_trivial_set((0, 2, 2))
     assert not classified_trivial_set((2, 3, 5))
-    with pytest.raises(ValueError):
-        s3_fibered_link_name((2, 3, 5))
 
 
 def _relator_words(a, b, c):

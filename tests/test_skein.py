@@ -52,7 +52,7 @@ def test_unlink_homfly():
 def test_conway_frozen_values():
     assert conway(TREFOIL) == P("1 + 1*z^2")
     assert conway(FIG8) == P("1 + -1*z^2")
-    assert conway(Diagram((), 2)).is_zero()
+    assert not conway(Diagram((), 2))
     assert conway(TREFOIL.connected_sum(TREFOIL)) == P("1 + 2*z^2 + 1*z^4")
     assert conway(TREFOIL.connected_sum(FIG8)) == P("1 + -1*z^4")
     assert conway(FIG8.connected_sum(FIG8)) == P("1 + -2*z^2 + 1*z^4")
@@ -128,7 +128,7 @@ def test_p0_split_union_formula():
         for b in (TREFOIL, HOPF_POS):
             u = a.disjoint_union(b)
             assert p0(u) == factor * p0(a) * p0(b)
-            assert conway(u).is_zero()
+            assert not conway(u)
 
 
 def test_skein_relation_at_every_crossing():

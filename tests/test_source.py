@@ -122,6 +122,19 @@ def test_only_laurent_reads_the_term_dict():
     assert SRC.is_dir() and not found, found
 
 
+def test_only_diagram_and_skein_read_the_arc_table():
+    # A Diagram's _head and _tail are its arc table; only diagram.py, which
+    # builds it, and the skein walks, which read it, reach into it.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("diagram.py", "skein.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("_head", "_tail")]
+    assert SRC.is_dir() and not found, found
+
+
 def test_only_diagram_and_tangle_build_trusted_diagrams():
     # Diagram._trusted skips the PD checks and runs only _finish; keeping
     # its callers in diagram.py and tangle.py keeps every diagram's one
