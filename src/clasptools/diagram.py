@@ -19,21 +19,32 @@ counter: they arise naturally when a smoothing strands a component.  In
 PD text they are written as ``U`` tokens, and the bare ``PD[]`` is the
 unknot.
 
-Diagrams are immutable; every operation returns a fresh value.  The
-order of the crossing list carries no meaning (``simplify`` ranks moves by
-edge label); emitted PD text lists the crossings by under-in label.
+Diagrams are immutable; every operation returns a fresh value, and none
+depends on the order of the crossings (``simplify`` ranks moves by label),
+but ``==`` and ``hash`` compare the PD as listed, crossing order included;
+``canonical_code`` ignores relabelling and reordering.  Only this module
+reads the arc table; the skein steps through ``descending_core``,
+``twist_region`` and ``twist_child`` (one crossing: ``smooth_crossing``).
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Sequence, Tuple
+from operator import index
+from typing import Dict, List, Optional, Sequence, Tuple
 
 Quad = Tuple[int, int, int, int]
 
 
 class DiagramError(ValueError):
     """Malformed or ambiguous PD code."""
+
+
+def _integer(x, what: str) -> int:
+    try:  # operator.index: 1.5 raises here, where int() would truncate
+        return index(x)
+    except TypeError:
+        raise DiagramError(f"{what} {x!r} is not an integer") from None
 
 
 def _over_in_port(sign: int) -> int:
@@ -54,13 +65,13 @@ class Diagram:
     __slots__ = ("crossings", "signs", "free_loops", "components", "_head", "_tail")
 
     def __init__(self, crossings: Sequence[Sequence[int]], free_loops: int = 0):
-        quads = tuple(tuple(int(x) for x in q) for q in crossings)
+        quads = tuple(tuple(_integer(x, "edge label") for x in q) for q in crossings)
         for q in quads:
             if len(q) != 4:
                 raise DiagramError(f"crossing {q} does not have four edge labels")
         darts = _dart_table(quads)
         _check_planar(darts, len(quads))
-        self._finish(quads, _infer_signs(quads, darts), int(free_loops))
+        self._finish(quads, _infer_signs(quads, darts), _integer(free_loops, "free loop count"))
 
     @classmethod
     def _trusted(cls, quads: Sequence[Quad], signs: Sequence[int], free_loops: int) -> "Diagram":
@@ -153,12 +164,10 @@ class Diagram:
         return Diagram._trusted(quads, [-s for s in self.signs], self.free_loops)
 
     def smooth_crossing(self, k: int) -> "Diagram":
-        """Oriented smoothing of crossing k."""
+        """Oriented smoothing of crossing k: the child D_0 of the twist [k]."""
         if not (0 <= k < len(self.crossings)):
             raise IndexError("crossing index out of range")
-        b = _Builder.from_diagram(self)
-        b.smooth(k)
-        return b.to_diagram()
+        return self.twist_child((k,), 0)
 
     def connected_sum(self, other: "Diagram") -> "Diagram":
         """Connected sum of two knots, joined along their lowest-label edges."""
@@ -195,6 +204,71 @@ class Diagram:
         while move is not None:
             b.remove(*move)
             move = _find_move(b.tail, b.head)
+        return b.to_diagram()
+
+    # -- skein steps ---------------------------------------------------
+
+    def descending_core(self) -> Tuple["Diagram", int, Optional[int]]:
+        """(core, loops, k): this diagram simplified less its free loops and
+        its leading components while they lie descending over the rest (a
+        split unlink), all counted in ``loops``, and the first crossing k of
+        the core met on its under strand in label order, None if there is none."""
+        d, loops = self, 0
+        while True:
+            d = d.simplify()
+            if d.free_loops:
+                loops += d.free_loops
+                d = d._without_loops()
+            for e in range(1, 2 * len(d.crossings) + 1):
+                k, p = d._head[e]
+                if not p and e < d.crossings[k][_over_in_port(d.signs[k])]:
+                    break  # k is met first on its under strand, at edge e
+            else:
+                return d, loops, None
+            i = sum(c[-1] < e for c in d.components)  # the component of edge e
+            if not i:
+                return d, loops, k
+            b = _Builder.from_diagram(d)
+            b.lift(d.components[i - 1][-1])
+            d, loops = b.to_diagram(), loops + i
+
+    def twist_region(self, k: int) -> Tuple[List[int], bool]:
+        """The parallel twist through crossing k in strand order, and whether it
+        closes up: the longest chain of crossings of k's sign in which both
+        strands leaving one crossing (ports 2 and over-out) enter the next."""
+        quads, signs, s = self.crossings, self.signs, self.signs[k]
+        oi = _over_in_port(s)
+
+        def step(j, ends, p):  # the crossing at the far ends of ports p and p + oi
+            q = quads[j]
+            a = ends[q[p]][0]
+            return a if a == ends[q[(p + oi) % 4]][0] and signs[a] == s else None
+
+        chain, j = [k], step(k, self._head, 2)
+        while j not in (None, k):
+            chain.append(j)
+            j = step(j, self._head, 2)
+        if j == k:
+            return chain, True
+        j = step(k, self._tail, 0)
+        while j is not None:
+            chain.insert(0, j)
+            j = step(j, self._tail, 0)
+        return chain, False
+
+    def twist_child(self, chain: Sequence[int], j: int) -> "Diagram":
+        """D_j of a twist ``chain`` from ``twist_region``: its last j crossings
+        kept, its first smoothed when len(chain) - j is odd, and the rest
+        removed in adjacent pairs, each a full twist of two parallel strands."""
+        smooth, oo = (len(chain) - j) % 2, _over_out_port(self.signs[chain[0]])
+        b = _Builder.from_diagram(self)
+        if smooth:  # join each strand in to the other strand out
+            q = b.cr.pop(chain[0])[0]
+            b.splice(q[0], q[oo])
+            b.splice(q[(oo + 2) % 4], q[2])
+        cut = chain[smooth:len(chain) - j]
+        for x, y in zip(cut[::2], cut[1::2]):
+            b.remove((x, y), (self.crossings[x][2], self.crossings[x][oo]))
         return b.to_diagram()
 
     # -- canonical form -------------------------------------------------
@@ -306,6 +380,8 @@ class Diagram:
         return f"Diagram({self.pd_text()})"
 
     def __eq__(self, other) -> bool:
+        """The same PD as listed, crossing order included, as ``hash`` sees it;
+        a relisted diagram compares unequal (see ``canonical_code``)."""
         if not isinstance(other, Diagram):
             return NotImplemented
         return (
@@ -567,11 +643,6 @@ class _Builder:
         self.alias[drop] = keep
         if k in self.cr:
             self.cr[k][0][p] = keep
-
-    def smooth(self, k: int):
-        q, s = self.cr.pop(k)
-        self.splice(q[0], q[_over_out_port(s)])
-        self.splice(q[_over_in_port(s)], q[2])
 
     def remove(self, crossings, arcs):
         """Reidemeister move: delete the crossings and the arcs between them.

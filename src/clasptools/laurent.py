@@ -14,6 +14,7 @@ ordered by ascending z-exponent, then ascending v-exponent.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterator, Mapping, Optional, Tuple
 
 Exponents = Tuple[int, int]
@@ -26,10 +27,13 @@ class LaurentPoly:
 
     def __init__(self, terms: Optional[Mapping[Exponents, int]] = None):
         t = {}
-        if terms:
-            for (ev, ez), c in terms.items():
-                if c:
-                    t[(int(ev), int(ez))] = int(c)
+        for (ev, ez), c in (terms or {}).items():
+            try:
+                c, key = index(c), (index(ev), index(ez))
+            except TypeError:
+                raise ValueError(f"term {c!r}*v^{ev!r}*z^{ez!r} is not integral") from None
+            if c:
+                t[key] = c
         self._terms = t
 
     # -- constructors ------------------------------------------------
@@ -46,8 +50,11 @@ class LaurentPoly:
     def term(cls, c: int, ev: int = 0, ez: int = 0) -> "LaurentPoly":
         """The monomial c * v^ev * z^ez (the zero polynomial when c is 0)."""
         out = cls.__new__(cls)
-        c = int(c)
-        out._terms = {(int(ev), int(ez)): c} if c else {}
+        try:  # the constructor's checks, without its loop: the clasp search makes many
+            c, key = index(c), (index(ev), index(ez))
+        except TypeError:
+            return cls({(ev, ez): c})  # raises, naming the term
+        out._terms = {key: c} if c else {}
         return out
 
     # -- basic queries -----------------------------------------------

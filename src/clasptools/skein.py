@@ -1,41 +1,33 @@
 """Memoized skein-recursion engine for the HOMFLY polynomial, and the
 Conway and zeroth coefficient polynomials read off it.
 
-The strategy rewrites toward a descending diagram: components are
-processed in index order, each traversed from its lowest edge label, and
-the first crossing met on its under strand is the skein site.  Switching
-it moves the violation strictly later; smoothing drops a crossing; a
-descending diagram is an unlink.  Diagrams are R1/R2-simplified at every
-node and results are memoized by canonical code.  Three rules cut the
-nodes (Conway's skein calculus): components that come before the site's
-one lie descending over the rest, a split unlink, and are lifted off for
-a factor each; a site in a parallel twist of m >= 3 crossings takes the
-whole twist in one step, P(D) = a_m P(D_1) + b_m P(D_0) with D_j keeping
-j of its crossings; and a core that is one closed twist, T(2, m), is a
-leaf, as is a descending core.  Every step has that one shape: a lone
-crossing is the step at m = 2, with D_1 its smoothing and D_0 its switch.
+The recursion rewrites toward a descending diagram by ``Diagram`` steps.
+``descending_core`` simplifies a node, drops its free loops, lifts off
+its leading components while they lie descending over the rest (a split
+unlink, a factor each) and names the site, the first crossing met on its
+under strand; a descending core is an unlink.  A core that is one closed
+twist, T(2, m), is a leaf; otherwise the site's twist of m crossings
+(``twist_region``) takes one step, P(D) = a_m P(D_1) + b_m P(D_0), where
+``twist_child`` makes D_j keeping j of them, and m < 3 takes the step at
+m = 2, with D_1 the smoothing and D_0 the switch.  ``canonical_code``
+keys the memo; only ``diagram.py`` reads the PD arc table.
 
-There is one recursion, and each ``SkeinEngine`` has one memo table; the
-module keeps no engine of its own, so every caller makes the engine its
-queries run on.  What the module does keep, computed once per process, are
-three tables of constants of the skein relation keyed by ints alone: the
-twist coefficients (a_m, b_m), the closed twists P(T(2, m)) and the powers
-of delta; they hold no diagram and no answer.  The Conway polynomial is
-the HOMFLY polynomial at v = 1, and the zeroth coefficient polynomial is
-its ``extract_p_i`` coefficient 0 (Lickorish-Millett), so both cost one
-memo hit once the HOMFLY polynomial of a diagram is known.  The CLI
-reads Conway and p0 off the one HOMFLY polynomial of each diagram itself,
-so an ``invariants`` or ``montesinos`` call is one query.  Agreement of
-all three with an independent brute-force evaluation is part of the test
-suite.
+Each ``SkeinEngine`` has one memo table; the module keeps no engine of
+its own, so every caller makes the engine its queries run on.  What it
+keeps, once per process and keyed by ints alone, are the twist
+coefficients (a_m, b_m), the closed twists P(T(2, m)) and the powers of
+delta: constants, no diagram and no answer.  The Conway polynomial is the
+HOMFLY polynomial at v = 1, and the zeroth coefficient polynomial is its
+``extract_p_i`` coefficient 0 (Lickorish-Millett), so both cost one memo
+hit once the HOMFLY polynomial of a diagram is known.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from .diagram import Diagram, _Builder, _over_in_port, _over_out_port
+from .diagram import Diagram
 from .laurent import LaurentPoly, UNLINK_FACTOR, extract_p_i
 
 # Memo entries an engine keeps; past this the oldest insertion is dropped.
@@ -115,11 +107,11 @@ class SkeinEngine:
                     raise BudgetExceededError(
                         f"skein recursion exceeded {self.max_nodes} nodes"
                     )
-                core, loops, k = _core(task)
+                core, loops, k = task.descending_core()
                 if k is None:  # a descending core: an unlink
                     values.append(_unlink_power(len(core.components) + loops - 1))
                     continue
-                chain, closed = _twist(core, k)
+                chain, closed = core.twist_region(k)
                 m, sign = len(chain), core.signs[k]
                 if closed and m == core.num_crossings:  # T(2, m)
                     cached = _closed_twist(sign, m)
@@ -130,7 +122,7 @@ class SkeinEngine:
                         if m < 3:  # a lone crossing: the twist step at m = 2
                             m, d1, d0 = 2, core.smooth_crossing(k), core.switch_crossing(k)
                         else:
-                            d1, d0 = _untwist(core, chain, 1 - m % 2), _untwist(core, chain, m % 2)
+                            d1, d0 = core.twist_child(chain, 1), core.twist_child(chain, 0)
                         tasks += ((key, *_twist_coefficients(sign, m), loops), d1, d0)
                         continue
             else:
@@ -140,64 +132,6 @@ class SkeinEngine:
                 self._remember(key, cached)
             values.append(cached * _unlink_power(loops) if loops else cached)
         return values.pop()
-
-
-def _core(d: Diagram) -> Tuple[Diagram, int, Optional[int]]:
-    """(core, loops, k): d simplified less its free loops and less its
-    leading components while they lie descending over the rest (a split
-    unlink), all counted in ``loops``, and the core's first descending
-    violation k, None when it is descending."""
-    loops = 0
-    while True:
-        d = d.simplify()
-        if d.free_loops:
-            loops += d.free_loops
-            d = d._without_loops()
-        i, k = _descending_violation(d)
-        if not i:
-            return d, loops, k
-        b = _Builder.from_diagram(d)
-        b.lift(d.components[i - 1][-1])
-        d, loops = b.to_diagram(), loops + i
-
-
-def _descending_violation(d: Diagram) -> Tuple[int, Optional[int]]:
-    """(i, k): the first crossing k met on its under strand, walking edges
-    in label order, and its component i; (0, None) when there is none."""
-    seen = set()
-    for i, comp in enumerate(d.components):
-        for e in comp:
-            k, port = d._head[e]
-            if k not in seen:
-                if port == 0:
-                    return i, k
-                seen.add(k)
-    return 0, None
-
-
-def _twist(d: Diagram, k: int) -> Tuple[List[int], bool]:
-    """The parallel twist through crossing k in strand order, and whether it
-    closes up: the longest chain of crossings of k's sign in which both
-    strands leaving one crossing (ports 2 and over-out) enter the next."""
-    quads, signs, s = d.crossings, d.signs, d.signs[k]
-    oi = _over_in_port(s)
-
-    def step(j, ends, p):  # the crossing at the far ends of ports p and p + oi
-        q = quads[j]
-        a = ends[q[p]][0]
-        return a if a == ends[q[(p + oi) % 4]][0] and signs[a] == s else None
-
-    chain, j = [k], step(k, d._head, 2)
-    while j not in (None, k):
-        chain.append(j)
-        j = step(j, d._head, 2)
-    if j == k:
-        return chain, True
-    j = step(k, d._tail, 0)
-    while j is not None:
-        chain.insert(0, j)
-        j = step(j, d._tail, 0)
-    return chain, False
 
 
 @lru_cache(maxsize=None)
@@ -222,15 +156,3 @@ def _closed_twist(sign: int, m: int) -> LaurentPoly:
 def _unlink_power(n: int) -> LaurentPoly:
     """delta^n, the factor of n split unknots."""
     return UNLINK_FACTOR ** n
-
-
-def _untwist(d: Diagram, chain: List[int], smooth: int) -> Diagram:
-    """d with the twist's first crossing smoothed when ``smooth``, then the
-    rest removed in adjacent pairs: D_j, j = (len(chain) - smooth) mod 2."""
-    b = _Builder.from_diagram(d)
-    if smooth:
-        b.smooth(chain[0])
-    oo = _over_out_port(d.signs[chain[0]])
-    for j, k in zip(chain[smooth::2], chain[smooth + 1::2]):
-        b.remove((j, k), (d.crossings[j][2], d.crossings[j][oo]))
-    return b.to_diagram()

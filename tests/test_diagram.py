@@ -13,8 +13,9 @@ from clasptools.diagram import (
     _find_move,
     parse_pd,
 )
-from clasptools.skein import SkeinEngine, _twist, _untwist
-from clasptools.tangle import closed_braid
+from clasptools.skein import SkeinEngine
+from clasptools.tangle import (ExtendedRational, MontesinosDesc, closed_braid,
+                               montesinos_diagram, pretzel_diagram)
 
 from oracle import (
     canonical_code_bruteforce,
@@ -373,10 +374,34 @@ def test_builder_emits_crossings_in_under_in_order(d):
     for k in range(d.num_crossings):
         assert _in_under_in_order(d.smooth_crossing(k))
     for k in range(s.num_crossings):
-        chain, closed = _twist(s, k)
+        chain, closed = s.twist_region(k)
         if not (closed and len(chain) == s.num_crossings):  # T(2, m) is a leaf
-            assert _in_under_in_order(_untwist(s, chain, 0))
-            assert _in_under_in_order(_untwist(s, chain, 1))
+            assert _in_under_in_order(s.twist_child(chain, 0))
+            assert _in_under_in_order(s.twist_child(chain, 1))
+
+
+_twisted = st.one_of(
+    braid_closures(),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=4).map(lambda t: pretzel_diagram(*t)),
+    st.lists(st.builds(ExtendedRational, st.integers(-5, 5), st.integers(1, 3)),
+             min_size=3, max_size=3).map(lambda rs: montesinos_diagram(MontesinosDesc(rs))),
+)
+
+
+@given(_twisted)
+@settings(max_examples=60, deadline=None)
+def test_smoothing_is_the_one_crossing_twist_child(d):
+    # One builder path makes every smoothing: a lone crossing's smoothing is
+    # D_0 of the twist [k], and D_j of a twist keeps j of its m crossings.
+    for k in range(d.num_crossings):
+        assert d.smooth_crossing(k) == d.twist_child([k], 0)
+        chain, _ = d.twist_region(k)
+        assert k in chain and len(set(chain)) == len(chain)
+        assert {d.signs[j] for j in chain} == {d.signs[k]}
+        for j in range(len(chain) + 1):
+            kept = d.twist_child(chain, j)
+            assert kept.num_crossings == d.num_crossings - len(chain) + j
+        assert kept.canonical_code() == d.canonical_code()
 
 
 @st.composite

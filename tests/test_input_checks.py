@@ -1,6 +1,8 @@
 """The library's input checks that no other test reaches: each bad input
 raises its own exception type with its own message."""
 
+from fractions import Fraction
+
 import pytest
 
 from clasptools.census import CensusError, load_census
@@ -30,6 +32,8 @@ CASES = [
      CensusError, "census file not found: {tmp}/missing.tsv"),
     ("diagram-three-labels", lambda tmp: Diagram([(1, 2, 3)]),
      DiagramError, "crossing (1, 2, 3) does not have four edge labels"),
+    ("diagram-fractional-label", lambda tmp: Diagram([(1.5, 2, 2, 1)]),
+     DiagramError, "edge label 1.5 is not an integer"),
     ("smooth-past-the-end", lambda tmp: parse_pd(TREFOIL).smooth_crossing(3),
      IndexError, "crossing index out of range"),
     ("smooth-negative", lambda tmp: parse_pd(TREFOIL).smooth_crossing(-1),
@@ -45,6 +49,10 @@ CASES = [
     ("squares-z-term", lambda tmp: typeX_sum_of_squares_search(
         V4 + LaurentPoly.term(1, ev=0, ez=2), 1, 1),
      ValueError, "p0 must be a v-only polynomial"),
+    ("laurent-fractional-coefficient", lambda tmp: LaurentPoly({(0, 0): Fraction(1, 2)}),
+     ValueError, "term Fraction(1, 2)*v^0*z^0 is not integral"),
+    ("laurent-term-fractional-exponent", lambda tmp: LaurentPoly.term(2, ev=0.5),
+     ValueError, "term 2*v^0.5*z^0 is not integral"),
     ("laurent-negative-power", lambda tmp: V4 ** -1,
      ValueError, "only nonnegative powers are supported"),
     ("laurent-substitute", lambda tmp: V4.substitute_v(2),

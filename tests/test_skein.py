@@ -3,9 +3,10 @@ import json
 import os
 import subprocess
 import sys
+from functools import reduce
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clasptools.census import load_census, load_exceptional
@@ -15,13 +16,20 @@ from clasptools.skein import BudgetExceededError, SkeinEngine
 from clasptools.tangle import (
     ExtendedRational,
     MontesinosDesc,
+    _emit,
     closed_braid,
+    closure_tangle,
+    insert_clasp,
     montesinos_diagram,
     pretzel_diagram,
+    rational_tangle,
+    tangle_faces,
+    tangle_sum,
     theorem1_catalog,
 )
 
-from oracle import P, conway_bruteforce, homfly_bruteforce, homfly_hecke, p0_bruteforce
+from oracle import (P, conway_bruteforce, homfly_bruteforce, homfly_hecke, homfly_matches_jones,
+                    jones_bracket, p0_bruteforce)
 from strategies import braid_closures, listed
 
 TREFOIL = parse_pd("PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]")
@@ -377,6 +385,57 @@ small_twisted_diagrams = st.one_of(
 @settings(max_examples=50, deadline=None)
 def test_twisted_diagrams_match_bruteforce_oracle(d):
     assert SkeinEngine().homfly(d) == homfly_bruteforce(d)
+
+
+wide_fractions = st.builds(ExtendedRational, st.integers(-11, 11), st.integers(1, 7))
+
+
+@st.composite
+def clasped_diagrams(draw):
+    """A clasp laid across a face of the closed sum of 1-3 rational tangles."""
+    parts = draw(st.lists(wide_fractions, min_size=1, max_size=3))
+    t = closure_tangle(reduce(tangle_sum, map(rational_tangle, parts)))
+    choices = [(da, db) for f in tangle_faces(t) for i, da in enumerate(f)
+               for db in f[i + 1:] if db not in (da, t.pair[da])]
+    assume(choices)
+    da, db = draw(st.sampled_from(choices))
+    return _emit(insert_clasp(t, da, db, draw(st.sampled_from([1, -1]))))
+
+
+montesinos_knots = st.tuples(wide_fractions, wide_fractions, wide_fractions).map(
+    lambda rs: montesinos_diagram(MontesinosDesc(rs)))
+mid_size_diagrams = st.one_of(
+    st.lists(st.integers(-9, 9), min_size=2, max_size=5).map(lambda t: pretzel_diagram(*t)),
+    montesinos_knots,
+    clasped_diagrams(),
+    st.tuples(montesinos_knots, montesinos_knots).filter(
+        lambda ds: ds[0].num_components == ds[1].num_components == 1).map(
+        lambda ds: ds[0].connected_sum(ds[1])),
+).filter(lambda d: 15 <= d.num_crossings <= 30)
+
+
+@given(mid_size_diagrams)
+@settings(max_examples=60, deadline=None)
+def test_jones_bracket_matches_skein_on_non_braided_diagrams(d):
+    # The bracket shares no code with the skein; on these diagrams the
+    # skein's twist steps and closed-twist leaves fire.
+    assert homfly_matches_jones(SkeinEngine().homfly(d), jones_bracket(d))
+
+
+@given(st.tuples(montesinos_knots, braid_closures(4, 15, min_strands=3, min_len=9)).map(
+    lambda mb: mb[0].disjoint_union(mb[1])).filter(lambda d: 15 <= d.num_crossings <= 30))
+@settings(max_examples=40, deadline=None)
+def test_jones_bracket_matches_skein_on_split_unions(d):
+    # A braid closure split off a Montesinos diagram: on about a quarter of
+    # these the skein lifts off a leading component that lies descending.
+    assert homfly_matches_jones(SkeinEngine().homfly(d), jones_bracket(d))
+
+
+@given(twisted_braids(lengths=(40, 60), runs=(1, 4)))
+@settings(max_examples=30, deadline=None)
+def test_jones_bracket_matches_hecke_on_long_words(braid):
+    word, n = braid
+    assert homfly_matches_jones(homfly_hecke(word, n), jones_bracket(closed_braid(word, n)))
 
 
 def test_closed_twists_follow_the_twist_recurrence():

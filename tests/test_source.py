@@ -122,17 +122,33 @@ def test_only_laurent_reads_the_term_dict():
     assert SRC.is_dir() and not found, found
 
 
-def test_only_diagram_and_skein_read_the_arc_table():
-    # A Diagram's _head and _tail are its arc table; only diagram.py, which
-    # builds it, and the skein walks, which read it, reach into it.
+def test_only_diagram_reads_the_arc_table():
+    # A Diagram's _head and _tail are its arc table, and _without_loops
+    # shares it; only diagram.py, which builds the table, reaches into it.
+    # The skein walks it through Diagram's public operations.
     found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name in ("diagram.py", "skein.py"):
+        if path.name == "diagram.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr in ("_head", "_tail")]
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("_head", "_tail", "_without_loops")]
     assert SRC.is_dir() and not found, found
+
+
+def test_private_imports_between_modules():
+    # A module reaches into a sibling only for these private names: the
+    # face walk the tangle layer shares with the planarity check, and the
+    # default node budget the CLI prints in its help.
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found |= {(path.name, alias.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level or (node.module or "").startswith("clasptools"))
+                  for alias in node.names if alias.name[0] == "_"}
+    assert found == {("tangle.py", "_faces"), ("cli.py", "_MAX_NODES")}, sorted(found)
 
 
 def test_only_diagram_and_tangle_build_trusted_diagrams():
