@@ -19,12 +19,14 @@ counter: they arise naturally when a smoothing strands a component.  In
 PD text they are written as ``U`` tokens, and the bare ``PD[]`` is the
 unknot.
 
-Diagrams are immutable; every operation returns a fresh value, and none
-depends on the order of the crossings (``simplify`` ranks moves by label),
-but ``==`` and ``hash`` compare the PD as listed, crossing order included;
-``canonical_code`` ignores relabelling and reordering.  Only this module
-reads the arc table; the skein steps through ``descending_core``,
-``twist_region`` and ``twist_child`` (one crossing: ``smooth_crossing``).
+Diagrams are immutable and may be shared: ``simplify`` with no move
+returns its diagram, ``connected_sum`` with a crossingless summand the
+other.  No operation depends on the order of the crossings (``simplify``
+ranks moves by label), but ``==`` and ``hash`` compare the PD as listed,
+crossing order included; ``canonical_code`` ignores relabelling and
+reordering.  Only this module reads the arc table; the skein steps
+through ``descending_core``, ``twist_region`` and ``twist_child`` (one
+crossing: ``smooth_crossing``).
 """
 
 from __future__ import annotations
@@ -263,12 +265,13 @@ class Diagram:
         smooth, oo = (len(chain) - j) % 2, _over_out_port(self.signs[chain[0]])
         b = _Builder.from_diagram(self)
         if smooth:  # join each strand in to the other strand out
-            q = b.cr.pop(chain[0])[0]
+            q = b.cr[chain[0]][0]
             b.splice(q[0], q[oo])
             b.splice(q[(oo + 2) % 4], q[2])
+            del b.cr[chain[0]]
         cut = chain[smooth:len(chain) - j]
         for x, y in zip(cut[::2], cut[1::2]):
-            b.remove((x, y), (self.crossings[x][2], self.crossings[x][oo]))
+            b.remove((x, y), (b.cr[x][0][2], b.cr[x][0][oo]))
         return b.to_diagram()
 
     # -- canonical form -------------------------------------------------
@@ -605,81 +608,67 @@ class _Builder:
 
     Arcs are directed: ``tail`` and ``head`` map each live arc to the
     ``(crossing, port)`` it leaves and enters (copies of the diagram's
-    ``_tail`` and ``_head`` at the start), and ``cr`` maps a crossing to
-    its port list and sign.  A splice keeps the smaller of the two arc ids,
-    writes it into the port of the dropped arc's surviving end (unless that
-    crossing is gone) and aliases the dropped id to it.  So the ports of
-    live crossings hold live arc ids, which ``to_diagram`` reads as they
-    are, and ``find`` resolves the ids that ``remove`` and ``cross_join``
-    capture before they splice.  An arc's id is the least edge label
-    merged into it; ``_find_move`` ranks a crossing by the id at its port 0.
-    ``to_diagram`` relabels and emits the crossings in under-in order.
+    ``_tail`` and ``_head`` at the start), and ``cr`` maps a crossing to its
+    port list and sign.  The ports alone say which arc ids are live: a
+    splice keeps the smaller id and writes it into the port at the dropped
+    arc's surviving end, so each surgery reads the arcs it joins from the
+    ports as it splices, and deletes its crossings after its last splice.
+    An arc's id is the least edge label merged into it; ``_find_move`` ranks
+    a crossing by the id at its port 0.  ``to_diagram`` relabels and emits
+    the crossings in under-in order.
     """
 
     @classmethod
     def from_diagram(cls, d: Diagram) -> "_Builder":
         b = cls()
         b.cr = {k: (list(q), s) for k, (q, s) in enumerate(zip(d.crossings, d.signs))}
-        b.tail, b.head, b.alias, b.free_loops = dict(d._tail), dict(d._head), {}, d.free_loops
+        b.tail, b.head, b.free_loops = dict(d._tail), dict(d._head), d.free_loops
         return b
-
-    def find(self, aid: int) -> int:
-        while aid in self.alias:
-            aid = self.alias[aid]
-        return aid
 
     def splice(self, x: int, y: int):
         """Join arc x (head being removed) to arc y (tail being removed)."""
-        x = self.find(x)
-        y = self.find(y)
         if x == y:
             self.free_loops += 1
             del self.tail[x], self.head[x]
             return
         tail, head = self.tail.pop(x), self.head.pop(y)
         del self.head[x], self.tail[y]
-        keep, drop, (k, p) = (x, y, head) if x < y else (y, x, tail)
+        keep, (k, p) = (x, head) if x < y else (y, tail)
         self.tail[keep], self.head[keep] = tail, head
-        self.alias[drop] = keep
-        if k in self.cr:
-            self.cr[k][0][p] = keep
+        self.cr[k][0][p] = keep
 
     def remove(self, crossings, arcs):
         """Reidemeister move: delete the crossings and the arcs between them.
 
-        Each deleted arc's strand is rejoined: the arc entering the strand
-        at its tail is spliced to the arc leaving the strand at its head
-        (port p's strand partner is port p + 2 mod 4).  Given two crossings
-        of one sign and the two arcs from the first to the second, it also
-        removes a full twist of parallel strands, which rejoins each strand
-        in the same way.
+        Each deleted arc's strand is rejoined: the arc entering the strand at
+        its tail is spliced to the arc leaving the strand at its head (port p's
+        strand partner is port p + 2 mod 4).  Given two crossings of one sign
+        and the two arcs from the first to the second, it also removes a full
+        twist of parallel strands, rejoining each strand alike.
         """
-        joins = []
-        for a in arcs:
-            (tk, tp), (hk, hp) = self.tail.pop(a), self.head.pop(a)
-            joins.append((self.cr[tk][0][(tp + 2) % 4], self.cr[hk][0][(hp + 2) % 4]))
+        for (tk, tp), (hk, hp) in [(self.tail.pop(a), self.head.pop(a)) for a in arcs]:
+            self.splice(self.cr[tk][0][(tp + 2) % 4], self.cr[hk][0][(hp + 2) % 4])
         for k in crossings:
             del self.cr[k]
-        for x, y in joins:
-            self.splice(x, y)
 
     def lift(self, last: int):
         """Delete arcs 1..last, whole components of a fresh builder, with
         their crossings; each other strand through those is spliced through."""
-        joins = []
-        for k, (q, s) in list(self.cr.items()):
-            kept = [(q[p], q[(p + 2) % 4]) for p in (0, _over_in_port(s)) if q[p] > last]
+        dead, strands = [], []
+        for k, (q, s) in self.cr.items():
+            kept = [(q, p) for p in (0, _over_in_port(s)) if q[p] > last]
             if len(kept) < 2:
-                del self.cr[k]
-                joins += kept
+                dead.append(k)
+                strands += kept
         for a in range(1, last + 1):
             del self.tail[a], self.head[a]
-        for x, y in joins:
-            self.splice(x, y)
+        for q, p in strands:
+            self.splice(q[p], q[(p + 2) % 4])
+        for k in dead:
+            del self.cr[k]
 
     def cross_join(self, a: int, b: int):
         """Cut arcs a and b and cross-rejoin (tail_a -> head_b, tail_b -> head_a)."""
-        a, b = self.find(a), self.find(b)
         ha, hb = self.head[a], self.head[b]
         self.head[a], self.head[b] = hb, ha
         self.cr[hb[0]][0][hb[1]] = a

@@ -176,7 +176,7 @@ def _out_ports(b, k):
 
 
 def _arc_at(b, k, p):
-    return b.find(b.cr[k][0][p])
+    return b.cr[k][0][p]
 
 
 def _delete_arc(b, a):
@@ -197,11 +197,9 @@ def _reduce_r1(b) -> bool:
             # Kink: remove the crossing, join the two remaining ports.
             other_in = [p for p in _in_ports(b, k) if p != ip][0]
             other_out = [p for p in _out_ports(b, k) if p != tail[1]][0]
-            x = _arc_at(b, k, other_in)
-            y = _arc_at(b, k, other_out)
-            del b.cr[k]
             _delete_arc(b, a)
-            b.splice(x, y)
+            b.splice(_arc_at(b, k, other_in), _arc_at(b, k, other_out))
+            del b.cr[k]
             return True
     return False
 
@@ -250,13 +248,13 @@ def _try_r2(b, j, k, e, f) -> bool:
             (ins if ext in _in_ports(b, c) else outs).append((c, ext))
         if len(ins) != 1 or len(outs) != 1:
             return False
-        joins.append((_arc_at(b, *ins[0]), _arc_at(b, *outs[0])))
-    del b.cr[j]
-    del b.cr[k]
+        joins.append((ins[0], outs[0]))
     _delete_arc(b, e)
     _delete_arc(b, f)
-    for x, y in joins:
-        b.splice(x, y)
+    for x, y in joins:  # read at splice time: the first splice may rename an arc
+        b.splice(_arc_at(b, *x), _arc_at(b, *y))
+    del b.cr[j]
+    del b.cr[k]
     return True
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,6 +12,7 @@ from clasptools.diagram import (
     DiagramError,
     _Builder,
     _find_move,
+    _over_in_port,
     parse_pd,
 )
 from clasptools.skein import SkeinEngine
@@ -402,6 +404,67 @@ def test_smoothing_is_the_one_crossing_twist_child(d):
             kept = d.twist_child(chain, j)
             assert kept.num_crossings == d.num_crossings - len(chain) + j
         assert kept.canonical_code() == d.canonical_code()
+
+
+def _check_ports(b):
+    """Each port of a live crossing holds a live arc whose end there points
+    back at it: its head at an in-port, its tail at an out-port."""
+    assert b.head.keys() == b.tail.keys()
+    for k, (q, s) in b.cr.items():
+        for p, a in enumerate(q):
+            ends = b.head if p in (0, _over_in_port(s)) else b.tail
+            assert ends.get(a) == (k, p), (k, p, a)
+
+
+def _checked(call):
+    def run(b, *args):
+        _check_ports(b)
+        out = call(b, *args)
+        _check_ports(b)
+        return out
+    return run
+
+
+def _descending_first(d):
+    """d with crossings switched so that its first component lies descending:
+    each crossing it meets first on its under strand is switched."""
+    last = d.components[0][-1]
+    for k, (q, s) in enumerate(zip(d.crossings, d.signs)):
+        if q[0] <= last and q[_over_in_port(s)] > q[0]:
+            d = d.switch_crossing(k)
+    return d
+
+
+@given(_twisted)
+@example(parse_pd("PD[X[6,1,7,2],X[8,4,9,3],X[10,5,1,6],X[11,18,12,13],X[13,8,14,7],"
+                  "X[14,3,15,2],X[15,9,16,10],X[16,4,17,5],X[17,12,18,11]]"))
+@example(parse_pd(TREFOIL))
+@settings(max_examples=60, deadline=None)
+def test_surgery_leaves_live_ports(d):
+    # The ports are the builder's only record of live arc ids, so they must
+    # be right around every call the library makes: each R1/R2 removal of
+    # ``simplify``, the lift of a leading component that lies descending
+    # (``descending_core`` rarely meets one on these, so each link's first
+    # component is also made descending and lifted), the smoothing and pair
+    # removals of ``twist_child`` (checked before the next call and at
+    # ``to_diagram``) and the cross-join of a connected sum.
+    with patch.object(_Builder, "remove", _checked(_Builder.remove)), \
+            patch.object(_Builder, "lift", _checked(_Builder.lift)), \
+            patch.object(_Builder, "cross_join", _checked(_Builder.cross_join)), \
+            patch.object(_Builder, "to_diagram", _checked(_Builder.to_diagram)):
+        if len(d.components) > 1:
+            b = _Builder.from_diagram(_descending_first(d))
+            b.lift(d.components[0][-1])
+            b.to_diagram()
+        core = d.descending_core()[0]
+        for k in range(core.num_crossings):
+            chain, closed = core.twist_region(k)
+            if not (closed and len(chain) == core.num_crossings):  # T(2, m) is a leaf
+                for j in (0, 1):
+                    core.twist_child(chain, j)
+            core.smooth_crossing(k)
+        if d.num_components == 1 and d.num_crossings:
+            d.connected_sum(d)
 
 
 @st.composite

@@ -28,8 +28,8 @@ from clasptools.tangle import (
     theorem1_catalog,
 )
 
-from oracle import (P, conway_bruteforce, homfly_bruteforce, homfly_hecke, homfly_matches_jones,
-                    jones_bracket, p0_bruteforce)
+from oracle import (P, alexander_polynomial, conway_bruteforce, homfly_bruteforce, homfly_hecke,
+                    homfly_matches_jones, jones_bracket, p0_bruteforce)
 from strategies import braid_closures, listed
 
 TREFOIL = parse_pd("PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]")
@@ -438,6 +438,36 @@ def test_jones_bracket_matches_hecke_on_long_words(braid):
     assert homfly_matches_jones(homfly_hecke(word, n), jones_bracket(closed_braid(word, n)))
 
 
+def _determinants(d):
+    """(|V(-1)|, |Delta(-1)|) of a knot, from the bracket and the Alexander
+    matrix: V(t) is the bracket at t = A^-4, so each A-exponent e is a
+    multiple of 4 and t = -1 sends A^e to (-1)^(e/4)."""
+    jones = jones_bracket(d)
+    assert all(e % 4 == 0 for e in jones)
+    v = sum(c * (-1) ** (e // 4) for e, c in jones.items())
+    return abs(v), abs(sum(c * (-1) ** i for i, c in enumerate(alexander_polynomial(d))))
+
+
+def test_jones_matches_alexander_determinant_on_census_knots():
+    knots = {name: d for name, d in load_census().items() if d.num_components == 1}
+    assert len(knots) >= 5
+    for name, d in sorted(knots.items()):
+        v, delta = _determinants(d)
+        assert v == delta > 0, name
+
+
+@given(st.one_of(
+    twisted_braids(lengths=(15, 30), runs=(1, 4)).map(lambda b: closed_braid(*b)),
+    mid_size_diagrams,
+).filter(lambda d: d.num_components == 1 and 15 <= d.num_crossings <= 30))
+@settings(max_examples=30, deadline=None)
+def test_jones_matches_alexander_determinant_on_knots(d):
+    # |V(-1)| = |Delta(-1)|, the knot determinant: the bracket and the
+    # Alexander matrix share no code, and neither is the skein.
+    v, delta = _determinants(d)
+    assert v == delta
+
+
 def test_closed_twists_follow_the_twist_recurrence():
     # T(2, n) = closure of sigma^n: P_0 is the 2-unlink, P_1 the unknot and
     # P_n = v^2s P_n-2 + s v^s z P_n-1; each is one node, a leaf.
@@ -476,3 +506,21 @@ def test_a_descending_first_component_is_lifted_off(p, q):
     assert eng.nodes_used == 1
     assert got == homfly_hecke(word, 3)
     assert got == UNLINK_FACTOR * homfly(closed_braid([1] * (p + q), 2))
+
+
+def test_lift_splices_a_strand_through_lifted_crossings_in_a_row():
+    # A node the skein visits on the closure of the 4-strand word
+    # [2, 2, 1, 2, 3, 2, 3, 2, 1, 3, 2, 1, -3, 2].  Its first component,
+    # arcs 1..10, lies over the rest, and the third runs under it at four
+    # crossings in a row (arcs 13..17), so each splice of that strand joins
+    # the arc its previous splice kept, read from the ports.  A Hopf link is
+    # left, a leaf.
+    d = parse_pd("PD[X[6,1,7,2],X[8,4,9,3],X[10,5,1,6],X[11,18,12,13],X[13,8,14,7],"
+                 "X[14,3,15,2],X[15,9,16,10],X[16,4,17,5],X[17,12,18,11]]")
+    core, loops, k = d.descending_core()
+    assert (core.pd_text(), loops, k) == ("PD[X[1,4,2,3],X[3,2,4,1]]", 1, 0)
+    eng = SkeinEngine()
+    got = eng.homfly(d)
+    assert eng.nodes_used == 1
+    assert got == homfly_bruteforce(d) == UNLINK_FACTOR * homfly(closed_braid([1, 1], 2))
+    assert got == P("1*z^-2 + -2*v^2*z^-2 + 1*v^4*z^-2 + 1 + -1*v^2")
